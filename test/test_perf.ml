@@ -488,6 +488,155 @@ let qcheck_async_stress =
             converged ()
           end))
 
+(* -- one verdict, three compile modes --
+
+   Every go/no-go verdict, fresh and served from the policy cache, must
+   land the same way whether the Ion tier-up compiles synchronously, on
+   the pool, or inline because the pool refused the job: [try_submit] on
+   a shut-down pool returns [None], which forces the queue-full fallback
+   deterministically. *)
+
+module Obs = Jitbull_obs.Obs
+module Metrics = Jitbull_obs.Metrics
+module Exec_mem = Jitbull_native.Exec_mem
+
+type compile_mode = Sync | Pool | Refused_pool
+
+let show_mode = function Sync -> "sync" | Pool -> "pool" | Refused_pool -> "refused pool"
+
+let matrix_src =
+  "function add(a, b) { return a + b; } \
+   function tri(x) { var t = 0; for (var i = 0; i < x; i++) { t = add(t, i); } return t; } \
+   var s = 0; for (var k = 0; k < 12; k++) { s = s + tri(k + 5); } print(s);"
+
+let matrix_funcs = [ "add"; "tri" ]
+
+(* What one engine run shows: output, final tiers, mode-independent
+   stats and the policy counters. *)
+type matrix_run = {
+  m_out : string;
+  m_tiers : Engine.tier list;
+  m_figures : (string * int) list;
+  m_queue_full : int;
+  m_maps : int;  (* native code pages mapped during the run *)
+}
+
+let matrix_run cfg =
+  let obs = Obs.create () in
+  let maps0 = (Exec_mem.stats ()).Exec_mem.s_maps_total in
+  let out, eng = Engine.run_source { cfg with Engine.obs = Some obs } matrix_src in
+  let view = Obs.view (Some obs) in
+  let counter name = Option.value ~default:0 (Metrics.find_counter view name) in
+  let s = Engine.stats eng in
+  {
+    m_out = out;
+    m_tiers = List.map (fun name -> Engine.tier_of eng (func_idx eng name)) matrix_funcs;
+    m_figures =
+      [
+        ("nr_jit", s.Engine.nr_jit);
+        ("nr_disjit", s.Engine.nr_disjit);
+        ("nr_nojit", s.Engine.nr_nojit);
+        ("baseline_compiles", s.Engine.baseline_compiles);
+        ("ion_compiles", s.Engine.ion_compiles);
+        ("bailouts", s.Engine.bailouts);
+        ("deopts", s.Engine.deopts);
+        ("peephole_removed", s.Engine.peephole_removed);
+        ("native_installs", s.Engine.native_installs);
+      ]
+      @ List.map
+          (fun name -> (name, counter name))
+          [
+            "engine.verdict.allow";
+            "engine.verdict.disable";
+            "engine.verdict.forbid";
+            "engine.recompiles";
+            "policy.cache_hits";
+            "policy.cache_misses";
+          ];
+    m_queue_full = counter "compile.queue_full";
+    m_maps = (Exec_mem.stats ()).Exec_mem.s_maps_total - maps0;
+  }
+
+(* The fresh run and the cache-hit run of one mode: a second engine on
+   the same config finds every verdict in the shared policy cache. *)
+let matrix_runs verdict mode =
+  let pool =
+    match mode with
+    | Sync -> None
+    | Pool | Refused_pool -> Some (CQ.create ~jobs:test_jobs ())
+  in
+  if mode = Refused_pool then Option.iter CQ.shutdown pool;
+  Fun.protect
+    ~finally:(fun () -> Option.iter CQ.shutdown pool)
+    (fun () ->
+      let cfg =
+        {
+          jit_config with
+          Engine.analyzer = Some (fun ~ctx:_ ~func_index:_ ~name:_ ~trace:_ -> verdict);
+          policy_cache = Some (Engine.Policy_cache.create ());
+          compile_pool = pool;
+        }
+      in
+      let fresh = matrix_run cfg in
+      let hit = matrix_run cfg in
+      [ ("fresh", fresh); ("cache hit", hit) ])
+
+let test_verdict_matrix () =
+  let expected_out = interp_output matrix_src in
+  List.iter
+    (fun (vname, verdict, go) ->
+      let sync = matrix_runs verdict Sync in
+      List.iter
+        (fun (state, r) ->
+          let tag = Printf.sprintf "%s, %s" vname state in
+          let fig name = List.assoc name r.m_figures in
+          check_string (tag ^ ": output") expected_out r.m_out;
+          check_bool (tag ^ ": tiers") true
+            (List.for_all (( = ) (if go then Engine.Ion else Engine.Blacklisted)) r.m_tiers);
+          if state = "fresh" then
+            check_bool (tag ^ ": only misses") true
+              (fig "policy.cache_hits" = 0 && fig "policy.cache_misses" > 0)
+          else
+            check_bool (tag ^ ": only hits") true
+              (fig "policy.cache_hits" > 0 && fig "policy.cache_misses" = 0);
+          if not go then begin
+            check_int (tag ^ ": no native install") 0 (fig "native_installs");
+            check_int (tag ^ ": no native page mapped") 0 r.m_maps
+          end)
+        sync;
+      List.iter
+        (fun mode ->
+          List.iter2
+            (fun (state, s) (_, r) ->
+              let tag = Printf.sprintf "%s, %s, %s" vname state (show_mode mode) in
+              check_string (tag ^ ": output") s.m_out r.m_out;
+              check_bool (tag ^ ": final tiers") true (s.m_tiers = r.m_tiers);
+              List.iter2
+                (fun (name, a) (_, b) ->
+                  (* the queue-full fallback repeats the policy-cache
+                     lookup, so it counts hits, misses and cached
+                     verdicts twice *)
+                  let relookup =
+                    String.starts_with ~prefix:"policy." name
+                    || String.starts_with ~prefix:"engine.verdict." name
+                  in
+                  if not (mode = Refused_pool && relookup) then
+                    check_int (tag ^ ": " ^ name) a b)
+                s.m_figures r.m_figures;
+              check_int (tag ^ ": native pages") s.m_maps r.m_maps;
+              (* a cached Forbid/mandatory verdict needs no compile, so
+                 nothing reaches the pool *)
+              if mode = Refused_pool && (go || state = "fresh") then
+                check_bool (tag ^ ": queue-full fallback taken") true (r.m_queue_full > 0))
+            sync (matrix_runs verdict mode))
+        [ Pool; Refused_pool ])
+    [
+      ("allow", Engine.Allow, true);
+      ("disableable", Engine.Disable_passes [ "gvn" ], true);
+      ("mandatory", Engine.Disable_passes [ "renumber" ], false);
+      ("forbid", Engine.Forbid_jit, false);
+    ]
+
 (* -- deterministic durations via the injectable clock -- *)
 
 let test_clock_manual_determinism () =
@@ -535,5 +684,7 @@ let suite =
       Alcotest.test_case "async bailouts blacklist like sync" `Quick
         test_async_bailout_blacklist;
       qtest qcheck_async_stress;
+      Alcotest.test_case "verdict x cache x compile-mode matrix" `Quick
+        test_verdict_matrix;
       Alcotest.test_case "manual clock determinism" `Quick test_clock_manual_determinism;
     ] )
