@@ -182,16 +182,17 @@ type tier =
   | Ion
   | Blacklisted
 
-(* A compile that finished on a helper domain, waiting in the mailbox for
-   the main thread to install at the next function-entry safepoint. *)
-type async_result =
-  | A_install of {
+(* What the compile stage hands to apply. On the pool it waits in the
+   mailbox for the main thread to apply at the next function-entry
+   safepoint. *)
+type stage_result =
+  | Compiled of {
       decision : decision option;  (* [None] = no analyzer configured *)
       lir : Lir.func option;  (* [None] when the verdict forbids JIT *)
       traced : bool;  (* a snapshot-traced compile ran (cache miss) *)
       peephole : int;
     }
-  | A_error of exn
+  | Failed of exn
 
 type inflight = {
   job : Compile_queue.job;
@@ -219,7 +220,7 @@ type t = {
      the main thread only. *)
   (* each mailbox item carries its publish time, so the main thread can
      histogram the publish → safepoint-install latency *)
-  results : (int * float * async_result) Queue.t;
+  results : (int * float * stage_result) Queue.t;
   results_mu : Mutex.t;
   results_ready : bool Atomic.t;
   async_inflight : (int, inflight) Hashtbl.t;
@@ -283,114 +284,45 @@ let executor_callbacks t : Executor.callbacks =
     declare_global = (fun name -> Vm.declare_global t.vm name);
   }
 
-(* Inline resolver: name → freshly built callee MIR, for names statically
-   bound to a function and never reassigned. The callee MIR uses the
-   callee's own warm feedback. *)
-let inline_resolver t ~caller_idx : string -> Jitbull_mir.Mir.t option =
- fun name ->
+(* The statically bound callee rule: a global [name] that no bytecode
+   ever stores to, bound to a function other than the caller. Inline
+   resolution, the pool's enqueue-time snapshot of it and the
+   policy-cache key all admit exactly these callees. *)
+let bound_callee t ~caller_idx name =
   if Hashtbl.mem t.reassigned_globals name then None
   else
     match Hashtbl.find_opt t.vm.Vm.globals name with
-    | Some (Value.Function idx) when idx <> caller_idx ->
-      let func = t.vm.Vm.program.Op.funcs.(idx) in
-      Some (Builder.build func ~feedback_row:t.vm.Vm.feedback.(idx))
+    | Some (Value.Function idx) when idx <> caller_idx -> Some idx
     | _ -> None
 
-(* Enqueue-time snapshot of the inline resolver: the callees it would
-   resolve, with their feedback rows deep-copied, so a helper domain
-   never reads live VM state. Mirrors [inline_resolver]'s conditions. *)
+(* Inline resolver over live VM state: name → freshly built callee MIR,
+   from the callee's own warm feedback. *)
+let inline_resolver t ~caller_idx : string -> Jitbull_mir.Mir.t option =
+ fun name ->
+  Option.map
+    (fun idx ->
+      Builder.build t.vm.Vm.program.Op.funcs.(idx) ~feedback_row:t.vm.Vm.feedback.(idx))
+    (bound_callee t ~caller_idx name)
+
+(* Enqueue-time snapshot of the inline resolver: the bound callees
+   [func] loads, with their feedback rows deep-copied, so a helper domain
+   never reads live VM state. *)
 let snapshot_resolver t ~caller_idx (func : Op.func) :
     string -> Jitbull_mir.Mir.t option =
   let tbl = Hashtbl.create 8 in
   Array.iter
     (function
-      | Op.Load_global name
-        when (not (Hashtbl.mem t.reassigned_globals name))
-             && not (Hashtbl.mem tbl name) -> (
-        match Hashtbl.find_opt t.vm.Vm.globals name with
-        | Some (Value.Function cidx) when cidx <> caller_idx ->
+      | Op.Load_global name when not (Hashtbl.mem tbl name) -> (
+        match bound_callee t ~caller_idx name with
+        | Some cidx ->
           Hashtbl.add tbl name
             ( t.vm.Vm.program.Op.funcs.(cidx),
               Feedback.copy_row t.vm.Vm.feedback.(cidx) )
-        | _ -> ())
+        | None -> ())
       | _ -> ())
     func.Op.code;
   fun name ->
-    match Hashtbl.find_opt tbl name with
-    | Some (cf, row) -> Some (Builder.build cf ~feedback_row:row)
-    | None -> None
-
-(* The two optimizing compile bodies, parameterized over the feedback row
-   and resolver so they can run on a helper domain against frozen
-   enqueue-time snapshots. They mutate no engine state: the peephole
-   count is returned for the main thread to account. *)
-
-let compile_opt_with config (func : Op.func) ~feedback_row ~resolver ~disabled =
-  let g = Builder.build func ~feedback_row in
-  Pipeline.run_quiet config.vulns ?obs:config.obs ~inline_resolver:resolver
-    ~disabled ~verify:config.verify_passes g;
-  let lir = Lower.lower g in
-  Regalloc.allocate lir;
-  let removed = Jitbull_lir.Peephole.run lir in
-  (lir, removed)
-
-let compile_traced_with config (func : Op.func) ~feedback_row ~resolver ~disabled =
-  let g = Builder.build func ~feedback_row in
-  let trace =
-    Pipeline.run config.vulns ?obs:config.obs ~inline_resolver:resolver
-      ~disabled ~verify:config.verify_passes g
-  in
-  let lir = Lower.lower g in
-  Regalloc.allocate lir;
-  let removed = Jitbull_lir.Peephole.run lir in
-  (lir, trace, removed)
-
-let compile_lir t idx ~optimize ~disabled =
-  let func = t.vm.Vm.program.Op.funcs.(idx) in
-  if optimize then begin
-    (* no snapshots: either no analyzer is installed (the paper's
-       zero-overhead empty-DB case) or this is the post-verdict
-       recompilation, which is not re-analyzed *)
-    let lir, removed =
-      compile_opt_with t.config func ~feedback_row:t.vm.Vm.feedback.(idx)
-        ~resolver:(inline_resolver t ~caller_idx:idx)
-        ~disabled
-    in
-    t.stats.peephole_removed <- t.stats.peephole_removed + removed;
-    lir
-  end
-  else begin
-    (* the baseline tier does not speculate: like Baseline's inline caches
-       it handles every type dynamically, so it can never bail out. Only
-       Ion consumes type feedback. *)
-    let feedback_row =
-      Array.init
-        (Array.length t.vm.Vm.feedback.(idx))
-        (fun _ -> Feedback.fresh_site ())
-    in
-    let g = Builder.build func ~feedback_row in
-    (* baseline: only the mandatory structural passes, no optimization *)
-    let ctx = Jitbull_passes.Pass.make_ctx t.config.vulns in
-    let split = Jitbull_passes.Split_critical_edges.pass in
-    split.Jitbull_passes.Pass.run ctx g;
-    Jitbull_mir.Mir.renumber g;
-    let lir = Lower.lower g in
-    Regalloc.allocate lir;
-    t.stats.peephole_removed <- t.stats.peephole_removed + Jitbull_lir.Peephole.run lir;
-    lir
-  end
-
-(* The traced optimizing compile: builds MIR, runs the pipeline collecting
-   snapshots, returns both. *)
-let compile_traced t idx ~disabled =
-  let func = t.vm.Vm.program.Op.funcs.(idx) in
-  let lir, trace, removed =
-    compile_traced_with t.config func ~feedback_row:t.vm.Vm.feedback.(idx)
-      ~resolver:(inline_resolver t ~caller_idx:idx)
-      ~disabled
-  in
-  t.stats.peephole_removed <- t.stats.peephole_removed + removed;
-  (lir, trace)
+    Option.map (fun (cf, row) -> Builder.build cf ~feedback_row:row) (Hashtbl.find_opt tbl name)
 
 (* Drop a queued-but-unclaimed compile job for [idx], if any. A job that
    already started runs to completion; its result is discarded as stale
@@ -499,6 +431,36 @@ let tier_up t idx tier_name =
   Obs.event t.config.obs "tier_up"
     ~fields:[ func_field t idx; ("tier", Jsonx.String tier_name) ]
 
+let baseline_compile t idx =
+  ensure_sentinel t;
+  let func = t.vm.Vm.program.Op.funcs.(idx) in
+  Log.debug (fun m -> m "baseline-compiling %s" func.Op.name);
+  t.stats.baseline_compiles <- t.stats.baseline_compiles + 1;
+  let lir =
+    Obs.span t.config.obs ~fields:[ func_field t idx ] "compile_baseline" (fun () ->
+        (* the baseline tier does not speculate: like Baseline's inline
+           caches it handles every type dynamically, so it can never bail
+           out. Only Ion consumes type feedback. *)
+        let feedback_row =
+          Array.init
+            (Array.length t.vm.Vm.feedback.(idx))
+            (fun _ -> Feedback.fresh_site ())
+        in
+        let g = Builder.build func ~feedback_row in
+        (* only the mandatory structural passes, no optimization *)
+        let ctx = Jitbull_passes.Pass.make_ctx t.config.vulns in
+        let split = Jitbull_passes.Split_critical_edges.pass in
+        split.Jitbull_passes.Pass.run ctx g;
+        Jitbull_mir.Mir.renumber g;
+        let lir = Lower.lower g in
+        Regalloc.allocate lir;
+        t.stats.peephole_removed <- t.stats.peephole_removed + Jitbull_lir.Peephole.run lir;
+        lir)
+  in
+  install t idx lir;
+  t.tiers.(idx) <- Baseline;
+  tier_up t idx "baseline"
+
 (* ---- policy-cache keys ----
 
    The traced Ion compile is a function of the bytecode, the function's
@@ -518,34 +480,31 @@ let feedback_hash row =
 
 let policy_key t idx =
   let func = t.vm.Vm.program.Op.funcs.(idx) in
-  let h =
-    ref (hash_mix (func_code_hash func) (feedback_hash t.vm.Vm.feedback.(idx)))
-  in
-  (* depth-1 inline closure: the callees [inline_resolver] would build MIR
-     for, hashed with their own feedback *)
-  Array.iter
-    (function
-      | Op.Load_global name when not (Hashtbl.mem t.reassigned_globals name) -> (
-        match Hashtbl.find_opt t.vm.Vm.globals name with
-        | Some (Value.Function cidx) when cidx <> idx ->
-          let cf = t.vm.Vm.program.Op.funcs.(cidx) in
-          h :=
-            hash_mix
-              (hash_mix !h (func_code_hash cf))
-              (feedback_hash t.vm.Vm.feedback.(cidx))
-        | _ -> ())
-      | _ -> ())
-    func.Op.code;
-  !h
+  (* depth-1 inline closure: every bound callee load, hashed with the
+     callee's own feedback *)
+  Array.fold_left
+    (fun h op ->
+      match op with
+      | Op.Load_global name -> (
+        match bound_callee t ~caller_idx:idx name with
+        | Some cidx ->
+          hash_mix
+            (hash_mix h (func_code_hash t.vm.Vm.program.Op.funcs.(cidx)))
+            (feedback_hash t.vm.Vm.feedback.(cidx))
+        | None -> h)
+      | _ -> h)
+    (hash_mix (func_code_hash func) (feedback_hash t.vm.Vm.feedback.(idx)))
+    func.Op.code
 
 (* On a policy-cache hit the analyzer never runs, so the engine itself
    appends the audit record: the verdict is replayed with no fresh match
    evidence (Thr/Ratio and DB size are the analyzer's business — 0 here),
    against the generation the cache revalidated on. *)
-let audit_cache_hit t idx ctx d =
+let audit_cache_hit t idx d =
   match t.config.obs with
   | None -> ()
   | Some o ->
+    let func = t.vm.Vm.program.Op.funcs.(idx) in
     let verdict =
       match d with
       | Allow -> Jitbull_obs.Audit.Allow
@@ -553,9 +512,9 @@ let audit_cache_hit t idx ctx d =
       | Forbid_jit -> Jitbull_obs.Audit.Forbid
     in
     ignore
-      (Jitbull_obs.Audit.append (Obs.audit o)
-         ~func_name:t.vm.Vm.program.Op.funcs.(idx).Op.name ~func_index:idx
-         ~bytecode_hash:ctx.cc_bytecode_hash ~feedback_hash:ctx.cc_feedback_hash
+      (Jitbull_obs.Audit.append (Obs.audit o) ~func_name:func.Op.name ~func_index:idx
+         ~bytecode_hash:(func_code_hash func)
+         ~feedback_hash:(feedback_hash t.vm.Vm.feedback.(idx))
          ~verdict ~matches:[] ~thr:0 ~ratio:0.0 ~prefilter_candidates:0
          ~prefilter_hits:0 ~db_generation:(current_gen t) ~db_size:0
          ~source:Jitbull_obs.Audit.Cache_hit ~duration:0.0 ())
@@ -570,7 +529,7 @@ let blacklist t idx reason =
   Obs.event t.config.obs "blacklist"
     ~fields:[ func_field t idx; ("reason", Jsonx.String reason) ]
 
-(* Go/no-go verdict kind counters: one increment per decision applied
+(* Go/no-go verdict kind counters: one increment per decision reached
    (fresh or cached, sync or async) — a cheap engine-event signal the
    fuzzer's coverage map consumes alongside bailout/blacklist events. *)
 let record_verdict obs = function
@@ -578,126 +537,145 @@ let record_verdict obs = function
   | Disable_passes _ -> Obs.incr obs "engine.verdict.disable"
   | Forbid_jit -> Obs.incr obs "engine.verdict.forbid"
 
-let ion_compile t idx =
-  ensure_sentinel t;
-  t.stats.nr_jit <- t.stats.nr_jit + 1;
-  t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-  Log.debug (fun m ->
-      m "ion-compiling %s (invocations reached %d)"
-        t.vm.Vm.program.Op.funcs.(idx).Op.name t.config.ion_threshold);
+(* ---- the Ion tier-up: lookup → compile stage → apply ----
+
+   One flow in every mode, following the paper's OptimizeMIR: traced
+   compile, Δ extraction and DB comparison, then Allow, recompile without
+   the matched passes, or no JIT. Lookup and apply run on the main
+   thread. The compile stage touches no engine state: synchronous mode
+   (and the queue-full fallback) runs it inline against the live
+   feedback rows, the pool on a helper domain against enqueue-time
+   copies. *)
+
+(* A verdict admits JIT unless it forbids it or asks to disable a
+   mandatory pass (the paper's scenario 3). *)
+let admits_jit = function
+  | Allow -> true
+  | Disable_passes passes -> List.for_all Pipeline.can_disable passes
+  | Forbid_jit -> false
+
+(* Lookup: the policy-cache probe, once per tier-up. Returns the cached
+   verdict, if any, and the key a fresh verdict is stored under. A hit is
+   counted and audited here, where it is reached. *)
+let lookup t idx =
   let obs = t.config.obs in
-  match t.config.analyzer with
-  | None ->
-    let lir =
-      Obs.span obs ~fields:[ func_field t idx ] "compile_ion" (fun () ->
-          compile_lir t idx ~optimize:true ~disabled:[])
-    in
-    install ~tier_native:true t idx lir;
-    t.tiers.(idx) <- Ion;
-    tier_up t idx "ion"
-  | Some analyze -> (
-    let func = t.vm.Vm.program.Op.funcs.(idx) in
-    let name = func.Op.name in
-    let ctx =
-      {
-        cc_bytecode_hash = func_code_hash func;
-        cc_feedback_hash = feedback_hash t.vm.Vm.feedback.(idx);
-      }
-    in
-    let cache = t.config.policy_cache in
-    let key = match cache with Some _ -> policy_key t idx | None -> 0 in
-    let cached =
-      match cache with Some c -> Policy_cache.lookup c key | None -> None
-    in
-    (match (cache, cached) with
-    | Some _, Some d ->
+  match (t.config.analyzer, t.config.policy_cache) with
+  | Some _, Some cache -> (
+    let key = policy_key t idx in
+    match Policy_cache.lookup cache key with
+    | Some d ->
       Obs.incr obs "policy.cache_hits";
       Obs.event obs "policy_cache_hit" ~fields:[ func_field t idx ];
-      audit_cache_hit t idx ctx d
-    | Some _, None -> Obs.incr obs "policy.cache_misses"
-    | None, _ -> ());
-    (* On a cache hit [precompiled] stays [None]: the traced compile, the
-       Δ extraction and the DB comparison are all skipped (and so is the
-       monitor record — only fresh analyses are recorded; the audit trail
-       gets a [Cache_hit] record instead). *)
-    let decision, precompiled =
-      match cached with
-      | Some d -> (d, None)
-      | None ->
-        let g0 = current_gen t in
-        let lir, trace =
-          Obs.span obs
-            ~fields:[ func_field t idx; ("traced", Jsonx.Bool true) ]
-            "compile_ion"
-            (fun () -> compile_traced t idx ~disabled:[])
-        in
-        let d = analyze ~ctx ~func_index:idx ~name ~trace in
-        (match cache with
-        | Some c -> Policy_cache.store ~if_generation:g0 c key d
-        | None -> ());
-        (d, Some lir)
+      audit_cache_hit t idx d;
+      record_verdict obs d;
+      (Some d, key)
+    | None ->
+      Obs.incr obs "policy.cache_misses";
+      (None, key))
+  | _ -> (None, 0)
+
+(* The compile stage: the optimizing compile of [func] and, unless a
+   verdict was [cached], its go/no-go analysis — the traced compile, the
+   analyzer call, [Policy_cache.store ~if_generation:gen] and the
+   recompile with passes off when the verdict asks for it. It reads only
+   its arguments, so it may run on a helper domain; the peephole count is
+   returned for apply to account. [fields] open every [compile_ion]
+   span. *)
+let compile_stage config ~func_index (func : Op.func) ~feedback_row ~resolver ~cached ~key
+    ~gen ~fields =
+  let obs = config.obs in
+  let compile ~extra ~traced disabled =
+    let extra =
+      if disabled = [] then extra
+      else extra @ [ ("disabled", Jsonx.List (List.map (fun p -> Jsonx.String p) disabled)) ]
     in
-    record_verdict obs decision;
-    match decision with
-    | Allow ->
-      let lir =
-        match precompiled with
-        | Some lir -> lir
-        | None ->
-          Obs.span obs
-            ~fields:[ func_field t idx; ("cached_verdict", Jsonx.Bool true) ]
-            "compile_ion"
-            (fun () -> compile_lir t idx ~optimize:true ~disabled:[])
+    Obs.span obs ~fields:(fields @ extra) "compile_ion" (fun () ->
+        let g = Builder.build func ~feedback_row in
+        let verify = config.verify_passes in
+        let trace =
+          if traced then
+            Pipeline.run config.vulns ?obs ~inline_resolver:resolver ~disabled ~verify g
+          else begin
+            Pipeline.run_quiet config.vulns ?obs ~inline_resolver:resolver ~disabled ~verify g;
+            []
+          end
+        in
+        let lir = Lower.lower g in
+        Regalloc.allocate lir;
+        (lir, trace, Jitbull_lir.Peephole.run lir))
+  in
+  try
+    match (config.analyzer, cached) with
+    | Some analyze, None ->
+      let lir, trace, removed = compile ~extra:[ ("traced", Jsonx.Bool true) ] ~traced:true [] in
+      let ctx =
+        { cc_bytecode_hash = func_code_hash func; cc_feedback_hash = feedback_hash feedback_row }
       in
+      let d = analyze ~ctx ~func_index ~name:func.Op.name ~trace in
+      Option.iter (fun c -> Policy_cache.store ~if_generation:gen c key d) config.policy_cache;
+      record_verdict obs d;
+      let lir, peephole =
+        match d with
+        | Allow -> (Some lir, removed)
+        | Disable_passes passes when admits_jit d ->
+          (* the paper's Recompile flag: the recompilation is not
+             re-analyzed *)
+          let lir, _, removed' = compile ~extra:[] ~traced:false passes in
+          (Some lir, removed + removed')
+        | Disable_passes _ | Forbid_jit -> (None, removed)
+      in
+      Compiled { decision = Some d; lir; traced = true; peephole }
+    | _ ->
+      (* no snapshots: no analyzer is installed (the paper's
+         zero-overhead empty-DB case), or a cached Allow / disableable
+         Disable_passes verdict applies *)
+      let disabled = match cached with Some (Disable_passes ps) -> ps | _ -> [] in
+      let extra = if cached = None then [] else [ ("cached_verdict", Jsonx.Bool true) ] in
+      let lir, _, peephole = compile ~extra ~traced:false disabled in
+      Compiled { decision = cached; lir = Some lir; traced = false; peephole }
+  with e -> Failed e
+
+(* Apply: the verdict match — install, install the recompile, or
+   blacklist — on the main thread. True when code was installed. *)
+let apply t idx = function
+  | Failed e -> raise e
+  | Compiled { decision; lir; traced; peephole } -> (
+    t.stats.peephole_removed <- t.stats.peephole_removed + peephole;
+    t.stats.nr_jit <- t.stats.nr_jit + 1;
+    t.stats.ion_compiles <- t.stats.ion_compiles + 1;
+    let name = t.vm.Vm.program.Op.funcs.(idx).Op.name in
+    let install_ion lir =
       install ~tier_native:true t idx lir;
       t.tiers.(idx) <- Ion;
-      tier_up t idx "ion"
-    | Disable_passes passes when List.for_all Pipeline.can_disable passes ->
+      tier_up t idx "ion";
+      true
+    in
+    match (decision, lir) with
+    | (None | Some Allow), Some lir -> install_ion lir
+    | Some (Disable_passes passes), Some lir ->
       Log.info (fun m ->
           m "JITBULL: recompiling %s without dangerous passes [%s]" name
             (String.concat ", " passes));
       (* from a cached verdict this is the first (and only) compile of the
          function, not a recompilation after a traced compile *)
-      (match precompiled with
-      | Some _ ->
+      if traced then begin
         t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-        Obs.incr obs "engine.recompiles"
-      | None -> ());
+        Obs.incr t.config.obs "engine.recompiles"
+      end;
       t.stats.nr_disjit <- t.stats.nr_disjit + 1;
-      let lir =
-        Obs.span obs
-          ~fields:
-            [
-              func_field t idx;
-              ("disabled", Jsonx.List (List.map (fun p -> Jsonx.String p) passes));
-            ]
-          "compile_ion"
-          (fun () -> compile_lir t idx ~optimize:true ~disabled:passes)
-      in
-      install ~tier_native:true t idx lir;
-      t.tiers.(idx) <- Ion;
-      tier_up t idx "ion"
-    | Disable_passes passes ->
+      install_ion lir
+    | Some (Disable_passes passes), None ->
       (* scenario 3: a mandatory pass matched — no JIT for this function *)
       Log.info (fun m ->
           m "JITBULL: mandatory pass among [%s] matched — no JIT for %s"
             (String.concat ", " passes) name);
-      blacklist t idx "mandatory_pass"
-    | Forbid_jit ->
+      blacklist t idx "mandatory_pass";
+      false
+    | Some Forbid_jit, _ ->
       Log.info (fun m -> m "JITBULL: JIT forbidden for %s" name);
-      blacklist t idx "forbid_jit")
-
-let baseline_compile t idx =
-  ensure_sentinel t;
-  Log.debug (fun m -> m "baseline-compiling %s" t.vm.Vm.program.Op.funcs.(idx).Op.name);
-  t.stats.baseline_compiles <- t.stats.baseline_compiles + 1;
-  let lir =
-    Obs.span t.config.obs ~fields:[ func_field t idx ] "compile_baseline" (fun () ->
-        compile_lir t idx ~optimize:false ~disabled:[])
-  in
-  install t idx lir;
-  t.tiers.(idx) <- Baseline;
-  tier_up t idx "baseline"
+      blacklist t idx "forbid_jit";
+      false
+    | (None | Some Allow), None -> assert false)
 
 (* ---- background (off-main-thread) Ion compilation ---- *)
 
@@ -713,73 +691,13 @@ let set_queue_depth t pool =
   Obs.set_gauge t.config.obs "compile.queue_depth"
     (float_of_int (Compile_queue.pending pool))
 
-(* Main-thread side: install one finished background compile, replicating
-   the synchronous [ion_compile] accounting exactly. A result is stale —
-   counted and dropped — when the function was blacklisted mid-compile or
-   the DNA DB generation moved since enqueue (the verdict may no longer
-   hold; the next invocation re-enqueues against the new generation). *)
-let apply_async t idx (info : inflight) ~published result =
-  let obs = t.config.obs in
-  let now = Clock.now () in
-  (* enqueue → install (the whole background round trip) and
-     publish → install (how long a finished compile waited for the main
-     thread to reach a safepoint) *)
-  Obs.observe obs ~bounds:Jitbull_obs.Metrics.queue_latency_bounds
-    "compile.queued_seconds"
-    (Float.max 0.0 (now -. info.enq_time));
-  Obs.observe obs ~bounds:Jitbull_obs.Metrics.queue_latency_bounds
-    "compile.install_latency_seconds"
-    (Float.max 0.0 (now -. published));
-  let stale why =
-    t.stats.stale_results <- t.stats.stale_results + 1;
-    Obs.incr obs "engine.stale_results";
-    Obs.event obs "stale_result" ?parent:info.anchor
-      ~fields:[ func_field t idx; ("why", Jsonx.String why) ]
-  in
-  if t.tiers.(idx) = Blacklisted then stale "blacklisted"
-  else if info.enq_gen <> current_gen t then stale "generation_moved"
-  else
-    match result with
-    | A_error e -> raise e
-    | A_install { decision; lir; traced; peephole } -> (
-      t.stats.peephole_removed <- t.stats.peephole_removed + peephole;
-      t.stats.nr_jit <- t.stats.nr_jit + 1;
-      t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-      let name = t.vm.Vm.program.Op.funcs.(idx).Op.name in
-      let install_ion lir =
-        install ~tier_native:true t idx lir;
-        t.tiers.(idx) <- Ion;
-        tier_up t idx "ion";
-        t.stats.async_installs <- t.stats.async_installs + 1;
-        Obs.incr obs "engine.async_installs";
-        Obs.event obs "async_install" ?parent:info.anchor
-          ~fields:[ func_field t idx ]
-      in
-      match (decision, lir) with
-      | (None | Some Allow), Some lir -> install_ion lir
-      | Some (Disable_passes passes), Some lir ->
-        Log.info (fun m ->
-            m "JITBULL: recompiling %s without dangerous passes [%s]" name
-              (String.concat ", " passes));
-        if traced then begin
-          t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-          Obs.incr obs "engine.recompiles"
-        end;
-        t.stats.nr_disjit <- t.stats.nr_disjit + 1;
-        install_ion lir
-      | Some (Disable_passes passes), None ->
-        Log.info (fun m ->
-            m "JITBULL: mandatory pass among [%s] matched — no JIT for %s"
-              (String.concat ", " passes) name);
-        blacklist t idx "mandatory_pass"
-      | Some Forbid_jit, _ ->
-        Log.info (fun m -> m "JITBULL: JIT forbidden for %s" name);
-        blacklist t idx "forbid_jit"
-      | (None | Some Allow), None -> assert false)
-
 (* The safepoint: called at every function entry (and from [drain]).
    Clears the flag before draining so a publish racing the drain leaves
-   the flag set for the next poll. *)
+   the flag set for the next poll. A published result is stale — counted
+   and dropped instead of applied — when the function was blacklisted
+   mid-compile or the DNA DB generation moved since enqueue (the verdict
+   may no longer hold; the next invocation re-enqueues against the new
+   generation). *)
 let poll t =
   if Atomic.get t.results_ready then begin
     Atomic.set t.results_ready false;
@@ -789,210 +707,111 @@ let poll t =
       batch := Queue.pop t.results :: !batch
     done;
     Mutex.unlock t.results_mu;
+    let obs = t.config.obs in
     List.iter
       (fun (idx, published, result) ->
         match Hashtbl.find_opt t.async_inflight idx with
         | Some info ->
           Hashtbl.remove t.async_inflight idx;
-          apply_async t idx info ~published result
+          let now = Clock.now () in
+          (* enqueue → install (the whole background round trip) and
+             publish → install (how long a finished compile waited for
+             the main thread to reach a safepoint) *)
+          Obs.observe obs ~bounds:Jitbull_obs.Metrics.queue_latency_bounds
+            "compile.queued_seconds"
+            (Float.max 0.0 (now -. info.enq_time));
+          Obs.observe obs ~bounds:Jitbull_obs.Metrics.queue_latency_bounds
+            "compile.install_latency_seconds"
+            (Float.max 0.0 (now -. published));
+          let stale why =
+            t.stats.stale_results <- t.stats.stale_results + 1;
+            Obs.incr obs "engine.stale_results";
+            Obs.event obs "stale_result" ?parent:info.anchor
+              ~fields:[ func_field t idx; ("why", Jsonx.String why) ]
+          in
+          if t.tiers.(idx) = Blacklisted then stale "blacklisted"
+          else if info.enq_gen <> current_gen t then stale "generation_moved"
+          else if apply t idx result then begin
+            t.stats.async_installs <- t.stats.async_installs + 1;
+            Obs.incr obs "engine.async_installs";
+            Obs.event obs "async_install" ?parent:info.anchor ~fields:[ func_field t idx ]
+          end
         | None ->
           (* the request was cancelled after the worker claimed it *)
           t.stats.stale_results <- t.stats.stale_results + 1;
-          Obs.incr t.config.obs "engine.stale_results")
+          Obs.incr obs "engine.stale_results")
       (List.rev !batch);
     match t.config.compile_pool with
     | Some pool -> set_queue_depth t pool
     | None -> ()
   end
 
-(* Enqueue an Ion compile for [idx] on the helper pool. Everything the
-   compile reads — the function's feedback row and the inline-resolver
-   closure over its callees — is snapshotted here, on the main thread;
-   the helper domain touches no live VM state. Cached Forbid/mandatory
-   verdicts apply immediately (nothing to compile); cached Allow/Disable
-   verdicts still compile, just without the snapshot trace. When the
-   queue is full the engine falls back to a synchronous compile rather
-   than dropping the tier-up. *)
-let enqueue_ion t pool idx =
+(* The Ion tier-up of [idx]: lookup, then the compile stage and apply.
+   A cached Forbid or mandatory-pass verdict has nothing to compile and
+   goes straight to apply. Otherwise, without a pool the stage and apply
+   run inline, blocking the main thread. With a pool the stage is
+   submitted with copies of everything it reads — the function's feedback
+   row and the inline-resolver closure over its callees — and the caller
+   keeps running baseline code until [poll] applies the result; when the
+   queue is full the tier-up runs inline rather than being dropped. *)
+let tier_up_ion t idx =
   ensure_sentinel t;
   let obs = t.config.obs in
   let func = t.vm.Vm.program.Op.funcs.(idx) in
-  let name = func.Op.name in
-  let config = t.config in
-  (* The cross-domain trace edge: an anchored point event stands for this
-     tier-up request on the main thread; the helper-domain queue-wait and
-     compile spans, and the eventual install/stale event at the
-     safepoint, all carry its id as their parent. *)
-  let anchor = Obs.alloc_id obs in
-  let enq_rel = Obs.now obs in
-  Obs.event obs ?id:anchor ~fields:[ func_field t idx ] "tier_up_request";
-  (* Wrap the worker body: measure time spent waiting in the queue (a
-     synthesized [queue_wait] span — its start was stamped here, on the
-     main thread), then run the compile under a [compile_task] span so
-     every span the helper opens ([compile_ion], [policy_decide],
-     [pass.<name>], …) parents back to the anchor through it. *)
-  let in_task body () =
-    let wait = Float.max 0.0 (Obs.now obs -. enq_rel) in
-    Obs.observe obs ~bounds:Jitbull_obs.Metrics.queue_latency_bounds
-      "compile.queue_wait_seconds" wait;
-    Obs.record_span obs ?parent:anchor ~ts:enq_rel ~dur:wait
-      ~fields:[ ("func", Jsonx.String name) ]
-      "queue_wait";
-    Obs.span obs ?parent:anchor
-      ~fields:[ ("func", Jsonx.String name) ]
-      "compile_task" body
+  Log.debug (fun m ->
+      m "ion-compiling %s (invocations reached %d)" func.Op.name t.config.ion_threshold);
+  let cached, key = lookup t idx in
+  let gen = current_gen t in
+  let stage ~feedback_row ~resolver ~fields =
+    compile_stage t.config ~func_index:idx func ~feedback_row ~resolver ~cached ~key ~gen
+      ~fields
   in
-  let submit work =
-    match Compile_queue.try_submit pool work with
+  let inline () =
+    stalled t (fun () ->
+        ignore
+          (apply t idx
+             (stage ~feedback_row:t.vm.Vm.feedback.(idx)
+                ~resolver:(inline_resolver t ~caller_idx:idx)
+                ~fields:[ func_field t idx ])))
+  in
+  match (cached, t.config.compile_pool) with
+  | Some d, _ when not (admits_jit d) ->
+    ignore (apply t idx (Compiled { decision = cached; lir = None; traced = false; peephole = 0 }))
+  | _, None -> inline ()
+  | _, Some pool -> (
+    let func_f = func_field t idx in
+    (* The cross-domain trace edge: an anchored point event stands for
+       this tier-up request on the main thread; the helper-domain
+       queue-wait and compile spans, and the eventual install/stale event
+       at the safepoint, all carry its id as their parent. *)
+    let anchor = Obs.alloc_id obs in
+    let enq_rel = Obs.now obs in
+    Obs.event obs ?id:anchor ~fields:[ func_f ] "tier_up_request";
+    let feedback_row = Feedback.copy_row t.vm.Vm.feedback.(idx) in
+    let resolver = snapshot_resolver t ~caller_idx:idx func in
+    (* The worker body: time spent waiting in the queue (a synthesized
+       [queue_wait] span — its start was stamped here, on the main
+       thread), then the stage under a [compile_task] span so every span
+       the helper opens ([compile_ion], [policy_decide], [pass.<name>],
+       …) parents back to the anchor through it. *)
+    let task () =
+      let wait = Float.max 0.0 (Obs.now obs -. enq_rel) in
+      Obs.observe obs ~bounds:Jitbull_obs.Metrics.queue_latency_bounds
+        "compile.queue_wait_seconds" wait;
+      Obs.record_span obs ?parent:anchor ~ts:enq_rel ~dur:wait ~fields:[ func_f ] "queue_wait";
+      Obs.span obs ?parent:anchor ~fields:[ func_f ] "compile_task" (fun () ->
+          publish t idx
+            (stage ~feedback_row ~resolver ~fields:[ func_f; ("async", Jsonx.Bool true) ]))
+    in
+    match Compile_queue.try_submit pool task with
     | Some job ->
       Hashtbl.replace t.async_inflight idx
-        { job; enq_gen = current_gen t; enq_time = Clock.now (); anchor };
+        { job; enq_gen = gen; enq_time = Clock.now (); anchor };
       Obs.incr obs "compile.enqueued";
       set_queue_depth t pool
     | None ->
       Obs.incr obs "compile.queue_full";
-      stalled t (fun () -> ion_compile t idx)
-  in
-  match t.config.analyzer with
-  | None ->
-    let feedback_row = Feedback.copy_row t.vm.Vm.feedback.(idx) in
-    let resolver = snapshot_resolver t ~caller_idx:idx func in
-    submit
-      (in_task (fun () ->
-           let result =
-             try
-               let lir, removed =
-                 Obs.span obs
-                   ~fields:[ ("func", Jsonx.String name); ("async", Jsonx.Bool true) ]
-                   "compile_ion"
-                   (fun () ->
-                     compile_opt_with config func ~feedback_row ~resolver ~disabled:[])
-               in
-               A_install
-                 { decision = None; lir = Some lir; traced = false; peephole = removed }
-             with e -> A_error e
-           in
-           publish t idx result))
-  | Some analyze -> (
-    let cache = t.config.policy_cache in
-    let key = match cache with Some _ -> policy_key t idx | None -> 0 in
-    let cached =
-      match cache with Some c -> Policy_cache.lookup c key | None -> None
-    in
-    (match (cache, cached) with
-    | Some _, Some d ->
-      Obs.incr obs "policy.cache_hits";
-      Obs.event obs "policy_cache_hit" ~fields:[ func_field t idx ];
-      audit_cache_hit t idx
-        {
-          cc_bytecode_hash = func_code_hash func;
-          cc_feedback_hash = feedback_hash t.vm.Vm.feedback.(idx);
-        }
-        d
-    | Some _, None -> Obs.incr obs "policy.cache_misses"
-    | None, _ -> ());
-    match cached with
-    | Some Forbid_jit ->
-      t.stats.nr_jit <- t.stats.nr_jit + 1;
-      t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-      record_verdict obs Forbid_jit;
-      Log.info (fun m -> m "JITBULL: JIT forbidden for %s" name);
-      blacklist t idx "forbid_jit"
-    | Some (Disable_passes passes)
-      when not (List.for_all Pipeline.can_disable passes) ->
-      t.stats.nr_jit <- t.stats.nr_jit + 1;
-      t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-      record_verdict obs (Disable_passes passes);
-      Log.info (fun m ->
-          m "JITBULL: mandatory pass among [%s] matched — no JIT for %s"
-            (String.concat ", " passes) name);
-      blacklist t idx "mandatory_pass"
-    | cached ->
-      (* [None], or a cached Allow / disableable Disable_passes *)
-      (match cached with Some d -> record_verdict obs d | None -> ());
-      let feedback_row = Feedback.copy_row t.vm.Vm.feedback.(idx) in
-      let resolver = snapshot_resolver t ~caller_idx:idx func in
-      let g0 = current_gen t in
-      submit
-        (in_task (fun () ->
-          let result =
-            try
-              match cached with
-              | Some d ->
-                let disabled =
-                  match d with Disable_passes ps -> ps | _ -> []
-                in
-                let lir, removed =
-                  Obs.span obs
-                    ~fields:
-                      [
-                        ("func", Jsonx.String name);
-                        ("async", Jsonx.Bool true);
-                        ("cached_verdict", Jsonx.Bool true);
-                      ]
-                    "compile_ion"
-                    (fun () ->
-                      compile_opt_with config func ~feedback_row ~resolver ~disabled)
-                in
-                A_install
-                  { decision = Some d; lir = Some lir; traced = false; peephole = removed }
-              | None -> (
-                let lir, trace, removed =
-                  Obs.span obs
-                    ~fields:
-                      [
-                        ("func", Jsonx.String name);
-                        ("async", Jsonx.Bool true);
-                        ("traced", Jsonx.Bool true);
-                      ]
-                    "compile_ion"
-                    (fun () ->
-                      compile_traced_with config func ~feedback_row ~resolver
-                        ~disabled:[])
-                in
-                let ctx =
-                  {
-                    cc_bytecode_hash = func_code_hash func;
-                    cc_feedback_hash = feedback_hash feedback_row;
-                  }
-                in
-                let d = analyze ~ctx ~func_index:idx ~name ~trace in
-                (match cache with
-                | Some c -> Policy_cache.store ~if_generation:g0 c key d
-                | None -> ());
-                record_verdict obs d;
-                match d with
-                | Allow ->
-                  A_install
-                    { decision = Some d; lir = Some lir; traced = true; peephole = removed }
-                | Disable_passes passes when List.for_all Pipeline.can_disable passes ->
-                  let lir2, removed2 =
-                    Obs.span obs
-                      ~fields:
-                        [
-                          ("func", Jsonx.String name);
-                          ("async", Jsonx.Bool true);
-                          ( "disabled",
-                            Jsonx.List (List.map (fun p -> Jsonx.String p) passes) );
-                        ]
-                      "compile_ion"
-                      (fun () ->
-                        compile_opt_with config func ~feedback_row ~resolver
-                          ~disabled:passes)
-                  in
-                  A_install
-                    {
-                      decision = Some d;
-                      lir = Some lir2;
-                      traced = true;
-                      peephole = removed + removed2;
-                    }
-                | Disable_passes _ | Forbid_jit ->
-                  A_install
-                    { decision = Some d; lir = None; traced = true; peephole = removed })
-            with e -> A_error e
-          in
-          publish t idx result)))
+      inline ())
 
 (* Tier-up to Ion: synchronous without a pool; with a pool, make sure the
    function stops interpreting (so its feedback row is frozen — the
@@ -1001,11 +820,11 @@ let enqueue_ion t pool idx =
    baseline code. *)
 let request_ion t idx =
   match t.config.compile_pool with
-  | None -> stalled t (fun () -> ion_compile t idx)
-  | Some pool ->
+  | None -> tier_up_ion t idx
+  | Some _ ->
     if not (Hashtbl.mem t.async_inflight idx) then begin
       if t.tiers.(idx) = Interpreted then baseline_compile t idx;
-      enqueue_ion t pool idx
+      tier_up_ion t idx
     end
 
 let drain t =

@@ -17,11 +17,11 @@
       [max_bailouts] (replay-from-entry deoptimization; see DESIGN.md for
       the fidelity note).
 
-    With a [compile_pool] configured, the Ion tier-up runs off the main
-    thread: the engine snapshots the compile inputs (feedback row, callee
-    closure), enqueues a job on the helper-domain pool, and keeps
-    executing baseline code; the finished [(code, verdict)] is installed
-    at the next function-entry safepoint. See DESIGN.md §9 for the
+    With a [compile_pool] configured, the Ion tier-up's compile stage
+    runs off the main thread: the engine snapshots the compile inputs
+    (feedback row, callee closure), enqueues the stage on the
+    helper-domain pool, and keeps executing baseline code; the finished
+    [(code, verdict)] is applied at the next function-entry safepoint. See DESIGN.md §9 for the
     staleness rules and memory-model notes.
 
     The heap sentinel standing in for JIT code pointers is installed when
@@ -131,8 +131,14 @@ type config = {
           compile afresh. Only consulted when [analyzer] is present. *)
   compile_pool : Compile_queue.t option;
       (** helper-domain pool for off-main-thread Ion compilation; [None]
-          (default) compiles synchronously at the tier-up site. The pool
-          is owned by the caller (shareable across engines) and must be
+          (default) compiles synchronously at the tier-up site. Both
+          modes run one tier-up flow — policy-cache lookup, compile
+          stage (traced compile, verdict, recompile), apply — and differ
+          only in where the stage runs: inline against the live feedback
+          rows, or on a helper domain against enqueue-time copies. A job
+          the pool refuses (queue full, or pool shut down) runs inline
+          instead, counted in [compile.queue_full]. The pool is owned by
+          the caller (shareable across engines) and must be
           {!Compile_queue.shutdown} by it. Background mode also needs a
           [policy_cache] with a DB-generation closure for results to be
           invalidated by concurrent DB mutation — without one, finished

@@ -364,9 +364,15 @@ end
 
 module Conn = struct
   type t = {
-    fd : Unix.file_descr;
-    rd : reader;
+    mutable fd : Unix.file_descr;
+    mutable rd : reader;
+    (* the last response carried [Connection: close]: the server hangs
+       up after it, so the next request opens a fresh socket *)
+    mutable closing : bool;
     host : string;
+    addr : Unix.inet_addr;
+    port : int;
+    timeout_s : float option;
   }
 
   let set_timeout fd = function
@@ -377,12 +383,7 @@ module Conn = struct
          Unix.setsockopt_float fd Unix.SO_SNDTIMEO s
        with _ -> ())
 
-  let connect ?(host = "127.0.0.1") ?timeout_s ~port () =
-    let addr =
-      if String.equal host "127.0.0.1" || String.equal host "localhost" then
-        Unix.inet_addr_loopback
-      else Unix.inet_addr_of_string host
-    in
+  let open_socket addr port timeout_s =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try
        set_timeout fd timeout_s;
@@ -391,9 +392,25 @@ module Conn = struct
      with e ->
        (try Unix.close fd with _ -> ());
        raise e);
-    { fd; rd = reader fd; host }
+    fd
+
+  let connect ?(host = "127.0.0.1") ?timeout_s ~port () =
+    let addr =
+      if String.equal host "127.0.0.1" || String.equal host "localhost" then
+        Unix.inet_addr_loopback
+      else Unix.inet_addr_of_string host
+    in
+    let fd = open_socket addr port timeout_s in
+    { fd; rd = reader fd; closing = false; host; addr; port; timeout_s }
 
   let close t = try Unix.close t.fd with _ -> ()
+
+  let reconnect t =
+    close t;
+    let fd = open_socket t.addr t.port t.timeout_s in
+    t.fd <- fd;
+    t.rd <- reader fd;
+    t.closing <- false
 
   (* Unblock a request in flight on another thread: shutdown makes its
      blocked read return EOF without racing the fd number the way a
@@ -405,12 +422,14 @@ module Conn = struct
     | _http :: code :: _ -> ( try int_of_string code with _ -> 0)
     | _ -> 0
 
-  (* One request/response round-trip on the persistent connection.
+  (* One request/response round-trip on the persistent connection,
+     reconnecting first when the previous response closed it.
      [timeout_s] overrides the socket receive timeout for this request
      (long-poll subscribes pass a large one). Raises [Closed] when the
      server hung up, [Unix_error (EAGAIN, …)] on timeout. *)
   let request t ?(meth = "GET") ?(headers = []) ?(body = "")
       ?(keep_alive = true) ?timeout_s path =
+    if t.closing then reconnect t;
     set_timeout t.fd timeout_s;
     let extra =
       String.concat ""
@@ -424,7 +443,12 @@ module Conn = struct
          extra (String.length body) body);
     match read_message t.rd with
     | None -> raise Closed
-    | Some (line, headers, rbody) -> (parse_status_line line, headers, rbody)
+    | Some (line, headers, rbody) ->
+      t.closing <-
+        (match List.assoc_opt "connection" headers with
+        | Some v -> String.equal (String.lowercase_ascii v) "close"
+        | None -> false);
+      (parse_status_line line, headers, rbody)
 end
 
 (* ---- observability route handlers ---- *)

@@ -140,7 +140,10 @@ module Conn : sig
   val connect : ?host:string -> ?timeout_s:float -> port:int -> unit -> t
 
   (** One request/response round-trip: returns (status, headers, body)
-      with header names lowercased. [timeout_s] overrides the socket
+      with header names lowercased. When the previous response carried
+      [Connection: close] (the server's [max_requests_per_conn] bound,
+      or a [~keep_alive:false] request), a fresh socket is opened to the
+      same address first. [timeout_s] overrides the socket
       receive timeout for this request only (long-poll subscribes pass
       a large one). Raises {!Closed} when the server hung up,
       [Unix.Unix_error (EAGAIN, _, _)] on timeout — the connection must

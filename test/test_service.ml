@@ -175,6 +175,31 @@ let test_keep_alive_reuses_socket () =
           check_int "one TCP connection" 1 (Http.Server.connections server);
           check_int "two requests through it" 2 (Http.Server.requests server)))
 
+(* A server that closes every connection after two requests answers the
+   second with [Connection: close]; the client connection must reopen
+   its socket before the next request instead of failing it. *)
+let test_conn_reconnects_after_close () =
+  let server =
+    Http.Server.start ~workers:1 ~max_requests_per_conn:2
+      ~handler:(fun req -> Http.respond ("echo:" ^ req.Http.rq_path))
+      ~port:0 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Http.Server.stop server)
+    (fun () ->
+      let conn = Http.Conn.connect ~port:(Http.Server.port server) () in
+      Fun.protect
+        ~finally:(fun () -> Http.Conn.close conn)
+        (fun () ->
+          for i = 1 to 5 do
+            let path = Printf.sprintf "/r%d" i in
+            let status, _, body = Http.Conn.request conn path in
+            check_int (path ^ " status") 200 status;
+            check_string (path ^ " body") ("echo:" ^ path) body
+          done;
+          check_int "a fresh socket every two requests" 3 (Http.Server.connections server);
+          check_int "every request served" 5 (Http.Server.requests server)))
+
 (* ---- service end-to-end ---- *)
 
 let with_service ?(shards = 2) ?server_cache db f =
@@ -376,6 +401,8 @@ let suite =
       qtest qcheck_sharded_equals_indexed;
       Alcotest.test_case "keep-alive reuses one socket" `Quick
         test_keep_alive_reuses_socket;
+      Alcotest.test_case "connection reopens after Connection: close" `Quick
+        test_conn_reconnects_after_close;
       Alcotest.test_case "verdict endpoint, cache, invalidation" `Quick
         test_verdict_endpoint_and_cache;
       Alcotest.test_case "uncached baseline stays correct" `Quick
