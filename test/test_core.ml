@@ -226,6 +226,257 @@ let test_dna_sexpr_roundtrip () =
   check_string "name" dna.Dna.func_name dna'.Dna.func_name;
   check_int "deltas" (List.length dna.Dna.deltas) (List.length dna'.Dna.deltas)
 
+(* ---- n = 3 extraction against a brute-force reference ---- *)
+
+(* The n = 3 sub-chain multiset, straight from DESIGN §4 and written
+   independently of [Depgraph]: an operand that names no instruction of
+   the snapshot is dropped; every (user, dependency) pair of a node is one
+   "user->node->dep" sub-chain; every dependency of a root (an
+   instruction with operands that no instruction uses) is one "^root->dep"
+   boundary 2-gram. Keys are plain strings. *)
+let reference_multiset3 (s : Snapshot.t) =
+  let by_num = Hashtbl.create 16 in
+  List.iter (fun (e : Snapshot.entry) -> Hashtbl.replace by_num e.Snapshot.num e) s.Snapshot.entries;
+  let deps (e : Snapshot.entry) = List.filter_map (Hashtbl.find_opt by_num) e.Snapshot.operands in
+  let users (mid : Snapshot.entry) =
+    List.concat_map
+      (fun (u : Snapshot.entry) ->
+        List.filter_map
+          (fun (d : Snapshot.entry) -> if d.Snapshot.num = mid.Snapshot.num then Some u else None)
+          (deps u))
+      s.Snapshot.entries
+  in
+  let out = Hashtbl.create 16 in
+  let bump k = Hashtbl.replace out k (1 + Option.value ~default:0 (Hashtbl.find_opt out k)) in
+  List.iter
+    (fun (mid : Snapshot.entry) ->
+      List.iter
+        (fun (u : Snapshot.entry) ->
+          List.iter
+            (fun (d : Snapshot.entry) ->
+              bump (u.Snapshot.opcode ^ "->" ^ mid.Snapshot.opcode ^ "->" ^ d.Snapshot.opcode))
+            (deps mid))
+        (users mid);
+      if mid.Snapshot.operands <> [] && users mid = [] then
+        List.iter
+          (fun (d : Snapshot.entry) -> bump ("^" ^ mid.Snapshot.opcode ^ "->" ^ d.Snapshot.opcode))
+          (deps mid))
+    s.Snapshot.entries;
+  out
+
+let reference_diff a b =
+  Hashtbl.fold
+    (fun k ca acc ->
+      let cb = Option.value ~default:0 (Hashtbl.find_opt b k) in
+      if ca > cb then (k, ca - cb) :: acc else acc)
+    a []
+  |> List.sort compare
+
+(* Canonical string-keyed form of one Δ: sorted (key, count) lists. *)
+type canon_delta = (string * int) list * (string * int) list
+
+let canon_side side =
+  Hashtbl.fold (fun k c acc -> (Jitbull_util.Intern.to_string k, c) :: acc) side []
+  |> List.sort compare
+
+let reference_dna trace : (string * canon_delta) list =
+  match trace with
+  | [] -> []
+  | (_, first) :: rest ->
+    let prev = ref (reference_multiset3 first) in
+    List.map
+      (fun (pass, s) ->
+        let m = reference_multiset3 s in
+        let d = (reference_diff !prev m, reference_diff m !prev) in
+        prev := m;
+        (pass, d))
+      rest
+
+let extracted_dna trace : (string * canon_delta) list =
+  List.map
+    (fun (pass, (d : Delta.t)) -> (pass, (canon_side d.Delta.removed, canon_side d.Delta.added)))
+    (Dna.extract trace).Dna.deltas
+
+let show_canon dna =
+  String.concat "\n"
+    (List.map
+       (fun (pass, (r, a)) ->
+         let side l = String.concat ", " (List.map (fun (k, c) -> Printf.sprintf "%s x%d" k c) l) in
+         Printf.sprintf "%s: removed={%s} added={%s}" pass (side r) (side a))
+       dna)
+
+let check_extract_matches_reference what trace =
+  let expected = reference_dna trace and got = extracted_dna trace in
+  if expected <> got then
+    Alcotest.failf "%s: Dna.extract differs from the n=3 reference\nreference:\n%s\nextract:\n%s"
+      what (show_canon expected) (show_canon got)
+
+(* Every Ion tier-up trace of [source] on an engine with [vulns]: an
+   analyzer that records its trace and allows. A script that ends in an
+   exploit observable still yields the traces taken before it. *)
+let ion_traces ~vulns source =
+  let traces = ref [] in
+  let analyzer ~ctx:_ ~func_index:_ ~name ~trace =
+    traces := (name, trace) :: !traces;
+    Engine.Allow
+  in
+  let config = { Engine.default_config with Engine.vulns; analyzer = Some analyzer } in
+  (try ignore (Engine.run_source config source) with _ -> ());
+  List.rev !traces
+
+let check_program_traces ~vulns label source =
+  let traces = ion_traces ~vulns source in
+  List.iteri
+    (fun i (name, trace) ->
+      check_extract_matches_reference (Printf.sprintf "%s, tier-up %d (%s)" label i name) trace)
+    traces;
+  List.length traces
+
+(* The corpus directory is a test dependency (see test/dune): [dune
+   runtest] runs the suite from _build/default/test, a direct run of the
+   binary usually from the repository root. *)
+let distilled_sources () =
+  let dir =
+    List.find Sys.file_exists [ "../corpus/distilled"; "corpus/distilled" ]
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".js")
+  |> List.sort compare
+  |> List.map (fun f -> (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+let test_extract_reference_workloads () =
+  let vulns =
+    VC.make [ VC.CVE_2019_17026; VC.CVE_2019_9810; VC.CVE_2019_9791; VC.CVE_2019_11707 ]
+  in
+  let n =
+    List.fold_left
+      (fun acc (w : Jitbull_workloads.Workloads.t) ->
+        acc + check_program_traces ~vulns w.Jitbull_workloads.Workloads.name
+                w.Jitbull_workloads.Workloads.source)
+      0 Jitbull_workloads.Workloads.everything
+  in
+  check_bool "workloads reach Ion" true (n > 0)
+
+let test_extract_reference_distilled () =
+  let files = distilled_sources () in
+  check_int "29 distilled programs" 29 (List.length files);
+  List.iter
+    (fun (f, source) -> ignore (check_program_traces ~vulns:(VC.make VC.all) f source))
+    files
+
+let test_extract_reference_vdcs () =
+  let module D = Jitbull_vdc.Demonstrators in
+  let module V = Jitbull_vdc.Variants in
+  let n =
+    List.fold_left
+      (fun acc (d : D.t) ->
+        let vulns = VC.make [ d.D.cve ] in
+        let sources =
+          (d.D.name, d.D.source)
+          :: List.map
+               (fun k -> (d.D.name ^ "/" ^ V.kind_name k, V.apply k d.D.source))
+               V.all_kinds
+        in
+        List.fold_left
+          (fun acc (label, source) -> acc + check_program_traces ~vulns label source)
+          acc sources)
+      0 D.all
+  in
+  let n =
+    n
+    + check_program_traces ~vulns:(VC.make [ VC.CVE_2019_17026 ]) "17026 second implementation"
+        D.second_implementation_17026
+  in
+  check_bool "VDCs reach Ion" true (n > 0)
+
+(* Generated snapshot traces. Each snapshot after the first is derived
+   from its predecessor by one step: a copy, a renumbering (an injective
+   map over instruction numbers), a reordering, a local edit, or a fresh
+   (possibly empty) snapshot. Operand lists draw dangling numbers,
+   self-references and repeats; numbers within a snapshot are distinct,
+   as in every snapshot [Snapshot.take] produces. *)
+let gen_snapshot_trace : (string * Snapshot.t) list QCheck.Gen.t =
+ fun st ->
+  let opcodes = [| "add"; "phi"; "boundscheck"; "unboxint32"; "loadelement"; "constant" |] in
+  let pick_op () = opcodes.(Random.State.int st (Array.length opcodes)) in
+  let operands nums =
+    List.init (Random.State.int st 4) (fun _ ->
+        match Random.State.int st 6 with
+        | 0 -> 1000 + Random.State.int st 3 (* dangling *)
+        | _ when nums = [||] -> -1 (* dangling *)
+        | _ -> nums.(Random.State.int st (Array.length nums)))
+  in
+  let fresh () =
+    let m = Random.State.int st 10 in
+    let nums = Array.init m (fun i -> i + 1) in
+    List.init m (fun i -> { Snapshot.num = nums.(i); opcode = pick_op (); operands = operands nums })
+  in
+  let shuffle l =
+    let a = Array.of_list l in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  let renumber entries =
+    let k = 2 + Random.State.int st 3 and c = Random.State.int st 50 in
+    let f n = (n * k) + c in
+    List.map
+      (fun (e : Snapshot.entry) ->
+        { e with Snapshot.num = f e.Snapshot.num; operands = List.map f e.Snapshot.operands })
+      entries
+  in
+  let edit entries =
+    let nums = Array.of_list (List.map (fun (e : Snapshot.entry) -> e.Snapshot.num) entries) in
+    let next = 1 + Array.fold_left max 0 nums in
+    match entries with
+    | [] -> fresh ()
+    | _ ->
+      let i = Random.State.int st (List.length entries) in
+      List.concat
+        (List.mapi
+           (fun j (e : Snapshot.entry) ->
+             if j <> i then [ e ]
+             else
+               match Random.State.int st 4 with
+               | 0 -> [] (* removed; its users now dangle *)
+               | 1 -> [ { e with Snapshot.opcode = pick_op () } ]
+               | 2 -> [ { e with Snapshot.operands = operands nums } ]
+               | _ -> [ e; { Snapshot.num = next; opcode = pick_op (); operands = operands nums } ])
+           entries)
+  in
+  let step entries =
+    match Random.State.int st 6 with
+    | 0 -> entries
+    | 1 -> renumber entries
+    | 2 -> shuffle entries
+    | 3 | 4 -> edit entries
+    | _ -> if Random.State.bool st then [] else fresh ()
+  in
+  let mk entries = { Snapshot.func_name = "gen"; n_blocks = 1; entries } in
+  let len = 1 + Random.State.int st 8 in
+  let rec go i prev acc =
+    if i = len then List.rev acc
+    else
+      let entries = step prev in
+      go (i + 1) entries ((Printf.sprintf "p%d" i, mk entries) :: acc)
+  in
+  let first = fresh () in
+  go 1 first [ ("initial", mk first) ]
+
+let show_snapshot_trace trace =
+  String.concat ""
+    (List.map (fun (pass, s) -> "-- " ^ pass ^ "\n" ^ Snapshot.to_string s) trace)
+
+let prop_extract_reference_generated =
+  QCheck.Test.make ~count:(qcheck_count 500)
+    ~name:"dna extract == n=3 reference on generated traces"
+    (QCheck.make ~print:show_snapshot_trace gen_snapshot_trace)
+    (fun trace -> reference_dna trace = extracted_dna trace)
+
 (* ---- database ---- *)
 
 let test_db_lifecycle () =
@@ -419,6 +670,13 @@ let suite =
       Alcotest.test_case "dna from trace" `Quick test_dna_from_trace;
       Alcotest.test_case "dna rename-insensitive" `Quick test_dna_insensitive_to_renaming;
       Alcotest.test_case "dna sexpr roundtrip" `Quick test_dna_sexpr_roundtrip;
+      Alcotest.test_case "dna extract == n=3 reference: workloads" `Quick
+        test_extract_reference_workloads;
+      Alcotest.test_case "dna extract == n=3 reference: distilled corpus" `Quick
+        test_extract_reference_distilled;
+      Alcotest.test_case "dna extract == n=3 reference: VDCs and variants" `Quick
+        test_extract_reference_vdcs;
+      qtest prop_extract_reference_generated;
       Alcotest.test_case "db lifecycle" `Quick test_db_lifecycle;
       Alcotest.test_case "db save/load" `Quick test_db_save_load;
       Alcotest.test_case "empty db: no analyzer" `Quick test_empty_db_no_analyzer;
