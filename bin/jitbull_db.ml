@@ -26,6 +26,11 @@ let read_file path =
   close_in ic;
   s
 
+(* A corrupt or truncated database is an input error (exit 124), not a
+   crash. *)
+let db_errors f =
+  try f () with Jitbull_util.Sexpr.Decode_error msg -> `Error (false, "corrupt database: " ^ msg)
+
 let load_or_create path = if Sys.file_exists path then Db.load path else Db.create ()
 
 let parse_cves names =
@@ -38,6 +43,7 @@ let parse_cves names =
 
 (* harvest *)
 let harvest cve vuln_names db_path script =
+  db_errors @@ fun () ->
   let vulns =
     match vuln_names with
     | [] -> (
@@ -54,6 +60,7 @@ let harvest cve vuln_names db_path script =
   `Ok ()
 
 let list_cmd db_path =
+  db_errors @@ fun () ->
   let db = Db.load db_path in
   List.iter
     (fun (e : Db.entry) ->
@@ -66,6 +73,7 @@ let list_cmd db_path =
   `Ok ()
 
 let show db_path cve =
+  db_errors @@ fun () ->
   let db = Db.load db_path in
   List.iter
     (fun (e : Db.entry) ->
@@ -74,6 +82,7 @@ let show db_path cve =
   `Ok ()
 
 let remove db_path cve =
+  db_errors @@ fun () ->
   let db = Db.load db_path in
   let before = List.length (Db.entries db) in
   Db.remove_cve db cve;
@@ -84,6 +93,7 @@ let remove db_path cve =
   `Ok ()
 
 let builtin db_path cves =
+  db_errors @@ fun () ->
   let db = load_or_create db_path in
   let targets = if cves = [] then VC.all else parse_cves cves in
   List.iter

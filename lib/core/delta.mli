@@ -28,10 +28,18 @@ val compute : ?n:int -> Depgraph.t -> Depgraph.t -> t
 
 (** [subchain_multiset ~n g] — the n-gram multiset of a graph;
     [of_multisets] diffs two precomputed multisets (used by {!Dna.extract}
-    to compute each trace snapshot's multiset exactly once). *)
+    for n ≠ 3 to compute each trace snapshot's multiset exactly once). *)
 
 val subchain_multiset : n:int -> Depgraph.t -> side
 val of_multisets : before:side -> after:side -> t
+
+(** [trace3 trace] — Δ₁ … Δₙ at n = 3 between consecutive snapshots of
+    [trace], each named by its later snapshot's pass. It counts with the
+    same routine as [subchain_multiset ~n:3], straight from the snapshots
+    (no {!Depgraph}), and interns only the keys a Δ keeps. A snapshot
+    whose positional form (opcodes plus operands as positions) equals its
+    predecessor's gets the empty Δ without being counted. *)
+val trace3 : (string * Jitbull_mir.Snapshot.t) list -> (string * t) list
 
 (** [is_empty t] — the pass changed nothing (or was disabled). *)
 val is_empty : t -> bool
@@ -46,7 +54,9 @@ val side_of_list : (string * int) list -> side
 val find_key : side -> string -> int option
 val mem_key : side -> string -> bool
 
-(** Serialization for the on-disk DNA database. *)
+(** Serialization for the on-disk DNA database, [POST /install] entries
+    and wire DNAs. [of_sexpr] raises {!Jitbull_util.Sexpr.Decode_error}
+    on a malformed entry and on a count below 1. *)
 
 val to_sexpr : t -> Jitbull_util.Sexpr.t
 val of_sexpr : Jitbull_util.Sexpr.t -> t

@@ -12,8 +12,8 @@ type node = {
   num : int;  (** snapshot display number (diagnostics only) *)
   opcode : string;
   opcode_id : Jitbull_util.Intern.id;
-      (** interned [opcode] — the Δ extractor builds sub-chain keys from
-          ids so the hot path never re-hashes opcode strings *)
+      (** interned [opcode] — the n = 2 multiset builds its keys from
+          ids (n = 3 counts over {!Delta}'s own positional form) *)
   mutable deps : node list;  (** dependencies = operands, in operand order *)
 }
 

@@ -9,6 +9,7 @@ type t = {
 let extract ?(n = 3) (trace : (string * Snapshot.t) list) : t =
   match trace with
   | [] -> { func_name = "?"; deltas = [] }
+  | (_, first) :: _ when n = 3 -> { func_name = first.Snapshot.func_name; deltas = Delta.trace3 trace }
   | (_, first) :: rest ->
     let func_name = first.Snapshot.func_name in
     let deltas = ref [] in

@@ -8,8 +8,14 @@ type t = {
 
 (** [extract ?n trace] consumes the pipeline's snapshot trace
     (IR₀ … IRₙ with pass names) and computes Δᵢ between consecutive
-    snapshots through the dependency graphs. [n] is the sub-chain n-gram
-    size (default 3, see {!Delta}). *)
+    snapshots. [n] is the sub-chain n-gram size (default 3, see {!Delta}).
+
+    At n = 3 ({!Delta.trace3}) each snapshot is read once into a
+    positional form and counted without building a {!Depgraph}; a
+    snapshot whose positional form equals its predecessor's (unchanged,
+    or only renumbered) gets the empty Δ without being counted, and only
+    the sub-chains that end up in a Δ are interned. Other [n] build each
+    snapshot's dependency graph and multiset. *)
 val extract : ?n:int -> (string * Jitbull_mir.Snapshot.t) list -> t
 
 (** [nonempty_passes t] — passes that modified the IR. *)

@@ -13,6 +13,12 @@
     registered, so [intern "a->b->c"] later returns the same id; ids are
     canonical per logical key however they were produced).
 
+    Interning happens at the edges of the Δ machinery, not per n-gram:
+    decoding a DB entry or wire DNA interns its keys, and the n = 3 Δ
+    extractor counts sub-chains over its own per-call opcode indices and
+    calls [pair]/[triple]/[rooted] only for the keys that land in a Δ
+    (plus one [intern] per distinct opcode per call).
+
     The table is global and append-only: ids are stable for the lifetime
     of the process, which is exactly the scope of the in-memory DNA
     database (the on-disk format stays string-keyed). Every entry point is

@@ -394,7 +394,8 @@ let test_extract_reference_vdcs () =
    map over instruction numbers), a reordering, a local edit, or a fresh
    (possibly empty) snapshot. Operand lists draw dangling numbers,
    self-references and repeats; numbers within a snapshot are distinct,
-   as in every snapshot [Snapshot.take] produces. *)
+   as in every snapshot [Snapshot.take] produces; renumbering may make them
+   negative. *)
 let gen_snapshot_trace : (string * Snapshot.t) list QCheck.Gen.t =
  fun st ->
   let opcodes = [| "add"; "phi"; "boundscheck"; "unboxint32"; "loadelement"; "constant" |] in
@@ -422,7 +423,7 @@ let gen_snapshot_trace : (string * Snapshot.t) list QCheck.Gen.t =
     Array.to_list a
   in
   let renumber entries =
-    let k = 2 + Random.State.int st 3 and c = Random.State.int st 50 in
+    let k = 2 + Random.State.int st 3 and c = Random.State.int st 50 - 25 in
     let f n = (n * k) + c in
     List.map
       (fun (e : Snapshot.entry) ->
@@ -475,7 +476,21 @@ let prop_extract_reference_generated =
   QCheck.Test.make ~count:(qcheck_count 500)
     ~name:"dna extract == n=3 reference on generated traces"
     (QCheck.make ~print:show_snapshot_trace gen_snapshot_trace)
-    (fun trace -> reference_dna trace = extracted_dna trace)
+    (fun trace ->
+      let rec adjacent = function
+        | a :: (b :: _ as rest) -> (a, b) :: adjacent rest
+        | _ -> []
+      in
+      (* [Delta.compute] (n = 3) on the dependency graphs agrees too *)
+      let computed =
+        List.map
+          (fun ((_, a), (pass, b)) ->
+            let d = Delta.compute (Depgraph.build a) (Depgraph.build b) in
+            (pass, (canon_side d.Delta.removed, canon_side d.Delta.added)))
+          (adjacent trace)
+      in
+      let expected = reference_dna trace in
+      expected = extracted_dna trace && expected = computed)
 
 (* ---- database ---- *)
 
@@ -505,6 +520,65 @@ let test_db_save_load () =
   Sys.remove path;
   check_int "entries preserved" (List.length (Db.entries db)) (List.length (Db.entries db'));
   check_bool "cves preserved" true (Db.cves db = Db.cves db')
+
+(* ---- corrupt DB input fails closed ---- *)
+
+let vdc4_db () =
+  let module D = Jitbull_vdc.Demonstrators in
+  let db = Db.create () in
+  List.iter
+    (fun cve ->
+      let d = D.find cve in
+      ignore (Db.harvest db ~cve:d.D.name ~vulns:(VC.make [ cve ]) d.D.source))
+    [ VC.CVE_2019_17026; VC.CVE_2019_9810; VC.CVE_2019_9791; VC.CVE_2019_11707 ];
+  db
+
+let decode_fails what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: decoded without Decode_error" what
+  | exception Sexpr.Decode_error _ -> ()
+
+let test_delta_rejects_non_positive_counts () =
+  List.iter
+    (fun count ->
+      let text side =
+        Printf.sprintf "(delta (removed%s) (added%s))"
+          (if side = `Removed then Printf.sprintf " (^boundscheck->unboxint32 %d)" count else "")
+          (if side = `Added then Printf.sprintf " (add->phi->constant %d)" count else "")
+      in
+      List.iter
+        (fun side ->
+          decode_fails (text side) (fun () -> Delta.of_sexpr (Sexpr.of_string (text side))))
+        [ `Removed; `Added ];
+      (* the same count inside a saved DB: the whole file is refused *)
+      let saved = Sexpr.to_string (Db.to_sexpr (vdc4_db ())) in
+      let needle = " 1)" in
+      let i =
+        let rec find i = if String.sub saved i 3 = needle then i else find (i + 1) in
+        find 0
+      in
+      let corrupted =
+        String.sub saved 0 i ^ Printf.sprintf " %d)" count
+        ^ String.sub saved (i + 3) (String.length saved - i - 3)
+      in
+      decode_fails
+        (Printf.sprintf "db with count %d" count)
+        (fun () -> Db.of_sexpr (Sexpr.of_string corrupted)))
+    [ -1; 0 ]
+
+let test_db_truncation_fails_closed () =
+  let path = Filename.temp_file "jitbull_vdc4" ".db" in
+  Db.save (vdc4_db ()) path;
+  let saved = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  check_bool "saved DB loads" true
+    (Db.entries (Db.of_sexpr (Sexpr.of_string saved)) <> []);
+  (* every prefix that stops before the final ')' *)
+  for len = 0 to String.rindex saved ')' do
+    decode_fails
+      (Printf.sprintf "prefix of %d bytes" len)
+      (fun () -> Db.of_sexpr (Sexpr.of_string (String.sub saved 0 len)))
+  done
 
 (* ---- policy / engine integration ---- *)
 
@@ -679,6 +753,10 @@ let suite =
       qtest prop_extract_reference_generated;
       Alcotest.test_case "db lifecycle" `Quick test_db_lifecycle;
       Alcotest.test_case "db save/load" `Quick test_db_save_load;
+      Alcotest.test_case "delta counts below 1 rejected" `Quick
+        test_delta_rejects_non_positive_counts;
+      Alcotest.test_case "truncated db fails closed at every offset" `Quick
+        test_db_truncation_fails_closed;
       Alcotest.test_case "empty db: no analyzer" `Quick test_empty_db_no_analyzer;
       Alcotest.test_case "monitor records" `Quick test_monitor_records;
       Alcotest.test_case "forbid on mandatory pass" `Quick test_forbid_on_mandatory_pass;
