@@ -143,7 +143,9 @@ let positional tbl pos_of_num (entries : Snapshot.entry list) =
 
 (* The n = 3 multiset as (sorted distinct keys, counts): one "u->v->w"
    key per length-2 walk u → v → w (for each node v, its users × its
-   operands), and one "^u->v" key per operand v of a root u. *)
+   operands), and one "^u->v" key per operand v of a root u. The root
+   boundary keeps a removal at a chain's end visible: an unused guard is
+   a root. *)
 let count3 { ops; first; deps } =
   let m = Array.length ops in
   let used = Array.make m false in
@@ -254,10 +256,8 @@ let subchain_multiset ~n (g : Depgraph.t) : side =
           })
         g.Depgraph.nodes
     in
-    let keys, counts = count3 (positional tbl (new_numbering ()) entries) in
-    let side = Hashtbl.create (max 1 (Array.length keys)) in
-    Array.iteri (fun i key -> Hashtbl.replace side (intern_key tbl key) counts.(i)) keys;
-    side
+    (* a multiset is what a Δ from the empty one adds *)
+    (diff3 tbl ([||], [||]) (count3 (positional tbl (new_numbering ()) entries))).added
   end
   else begin
     let counts = Hashtbl.create 64 in
