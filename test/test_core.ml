@@ -344,10 +344,11 @@ let distilled_sources () =
   |> List.sort compare
   |> List.map (fun f -> (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
 
+(* The paper's #1–#4 VDCs: the bugs of the benchmark's vulnerable engine. *)
+let vdc4_cves = [ VC.CVE_2019_17026; VC.CVE_2019_9810; VC.CVE_2019_9791; VC.CVE_2019_11707 ]
+
 let test_extract_reference_workloads () =
-  let vulns =
-    VC.make [ VC.CVE_2019_17026; VC.CVE_2019_9810; VC.CVE_2019_9791; VC.CVE_2019_11707 ]
-  in
+  let vulns = VC.make vdc4_cves in
   let n =
     List.fold_left
       (fun acc (w : Jitbull_workloads.Workloads.t) ->
@@ -530,7 +531,7 @@ let vdc4_db () =
     (fun cve ->
       let d = D.find cve in
       ignore (Db.harvest db ~cve:d.D.name ~vulns:(VC.make [ cve ]) d.D.source))
-    [ VC.CVE_2019_17026; VC.CVE_2019_9810; VC.CVE_2019_9791; VC.CVE_2019_11707 ];
+    vdc4_cves;
   db
 
 let decode_fails what f =
