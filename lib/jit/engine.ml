@@ -295,18 +295,11 @@ let bound_callee t ~caller_idx name =
     | Some (Value.Function idx) when idx <> caller_idx -> Some idx
     | _ -> None
 
-(* Inline resolver over live VM state: name → freshly built callee MIR,
-   from the callee's own warm feedback. *)
-let inline_resolver t ~caller_idx : string -> Jitbull_mir.Mir.t option =
- fun name ->
-  Option.map
-    (fun idx ->
-      Builder.build t.vm.Vm.program.Op.funcs.(idx) ~feedback_row:t.vm.Vm.feedback.(idx))
-    (bound_callee t ~caller_idx name)
-
-(* Enqueue-time snapshot of the inline resolver: the bound callees
-   [func] loads, with their feedback rows deep-copied, so a helper domain
-   never reads live VM state. *)
+(* The inline resolver of every Ion tier-up: the bound callees [func]
+   itself loads, with their feedback rows deep-copied at tier-up time,
+   so a helper domain never reads live VM state. A name that only an
+   inlined callee loads resolves to nothing in either compile mode: the
+   resolver binds exactly the callees the policy-cache key hashes. *)
 let snapshot_resolver t ~caller_idx (func : Op.func) :
     string -> Jitbull_mir.Mir.t option =
   let tbl = Hashtbl.create 8 in
@@ -766,18 +759,17 @@ let tier_up_ion t idx =
     compile_stage t.config ~func_index:idx func ~feedback_row ~resolver ~cached ~key ~gen
       ~fields
   in
-  let inline () =
+  let inline resolver =
     stalled t (fun () ->
         ignore
           (apply t idx
-             (stage ~feedback_row:t.vm.Vm.feedback.(idx)
-                ~resolver:(inline_resolver t ~caller_idx:idx)
+             (stage ~feedback_row:t.vm.Vm.feedback.(idx) ~resolver
                 ~fields:[ func_field t idx ])))
   in
   match (cached, t.config.compile_pool) with
   | Some d, _ when not (admits_jit d) ->
     ignore (apply t idx (Compiled { decision = cached; lir = None; traced = false; peephole = 0 }))
-  | _, None -> inline ()
+  | _, None -> inline (snapshot_resolver t ~caller_idx:idx func)
   | _, Some pool -> (
     let func_f = func_field t idx in
     (* The cross-domain trace edge: an anchored point event stands for
@@ -811,7 +803,7 @@ let tier_up_ion t idx =
       set_queue_depth t pool
     | None ->
       Obs.incr obs "compile.queue_full";
-      inline ())
+      inline resolver)
 
 (* Tier-up to Ion: synchronous without a pool; with a pool, make sure the
    function stops interpreting (so its feedback row is frozen — the

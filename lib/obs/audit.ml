@@ -1,8 +1,7 @@
 (* The go/no-go audit trail. One structured record per policy decision,
-   kept in a bounded ring (like the tracer: a mutex serializes helper
-   compile domains and the main thread) with cumulative aggregates that
-   survive ring eviction, an optional JSON-lines file sink, and query /
-   rendering helpers.
+   kept in a {!Ring} (bounded, mutexed, with the optional rotating
+   JSON-lines sink) with cumulative aggregates that survive ring
+   eviction, and query / rendering helpers.
 
    This module deliberately speaks its own vocabulary ([verdict],
    [pass_match]) rather than the engine's: [lib/obs] sits below
@@ -57,44 +56,24 @@ type record = {
 }
 
 type t = {
-  capacity : int;
-  ring : record option array;
-  mutable head : int;
-  mutable total : int;
-  mutable chan : out_channel option;
-  (* file-sink rotation: bytes written to the current file, the sink
-     path (for the rename), and the size cap (None = never rotate) *)
-  mutable sink_path : string option;
-  mutable sink_bytes : int;
-  mutable sink_max_bytes : int option;
-  mutable sink_rotations : int;
-  mu : Mutex.t;
+  ring : record Ring.t;
   clock : unit -> float;
   start : float;
-  (* cumulative aggregates, maintained at append so Prometheus series
-     keep counting after the ring evicts old records *)
+  (* cumulative aggregates, maintained at append under the ring's lock
+     so Prometheus series keep counting after the ring evicts old
+     records *)
   mutable n_allow : int;
   mutable n_disable : int;
   mutable n_forbid : int;
   mutable n_cache_hits : int;
-  cve_counts : (string, int) Hashtbl.t;
-  func_verdicts : (string * string, int) Hashtbl.t;
+  cve_counts : (string, int ref) Hashtbl.t;
+  func_verdicts : (string * string, int ref) Hashtbl.t;
 }
 
 let create ?(capacity = 1024) ?(clock : (unit -> float) option) () =
   let clock = match clock with Some c -> c | None -> Clock.now in
-  let capacity = max 1 capacity in
   {
-    capacity;
-    ring = Array.make capacity None;
-    head = 0;
-    total = 0;
-    chan = None;
-    sink_path = None;
-    sink_bytes = 0;
-    sink_max_bytes = None;
-    sink_rotations = 0;
-    mu = Mutex.create ();
+    ring = Ring.create ~capacity;
     clock;
     start = clock ();
     n_allow = 0;
@@ -247,30 +226,23 @@ let record_of_json j =
 (* ---- recording ---- *)
 
 let set_file_sink t ?max_bytes path =
-  Mutex.lock t.mu;
-  (match t.chan with Some oc -> close_out oc | None -> ());
-  t.chan <- Some (open_out path);
-  t.sink_path <- Some path;
-  t.sink_bytes <- 0;
-  t.sink_max_bytes <- max_bytes;
-  Mutex.unlock t.mu
+  Ring.set_file_sink t.ring ?max_bytes (fun r -> Jsonx.to_string (record_to_json r)) path
 
-let sink_rotations t = t.sink_rotations
+let sink_rotations t = Ring.rotations t.ring
 
-(* Size-based rotation, checked after each sink write (so one oversized
-   record still lands whole): the current file moves to [path ^ ".1"]
-   (clobbering the previous generation — one level of history bounds a
-   long-lived daemon's evidence log at ~2×max_bytes) and the sink
-   reopens fresh. Called with [t.mu] held. *)
-let maybe_rotate t =
-  match (t.sink_max_bytes, t.sink_path) with
-  | Some cap, Some path when t.sink_bytes >= cap ->
-    (match t.chan with Some oc -> close_out oc | None -> ());
-    (try Sys.rename path (path ^ ".1") with Sys_error _ -> ());
-    t.chan <- Some (open_out path);
-    t.sink_bytes <- 0;
-    t.sink_rotations <- t.sink_rotations + 1
-  | _ -> ()
+(* One hash of [key] per append on the hit path. *)
+let bump tbl key =
+  match Hashtbl.find_opt tbl key with Some n -> incr n | None -> Hashtbl.add tbl key (ref 1)
+
+(* Fold one record into the aggregates. Called under the ring's lock. *)
+let count t r =
+  (match r.verdict with
+  | Allow -> t.n_allow <- t.n_allow + 1
+  | Disable _ -> t.n_disable <- t.n_disable + 1
+  | Forbid -> t.n_forbid <- t.n_forbid + 1);
+  (match r.source with Cache_hit -> t.n_cache_hits <- t.n_cache_hits + 1 | Fresh -> ());
+  List.iter (fun cm -> bump t.cve_counts cm.cm_cve) r.matches;
+  bump t.func_verdicts (r.func_name, verdict_label r.verdict)
 
 let append t ?ts ?client_id ?remote_parent ~func_name ~func_index
     ~bytecode_hash ~feedback_hash ~verdict ~matches ~thr ~ratio
@@ -278,72 +250,37 @@ let append t ?ts ?client_id ?remote_parent ~func_name ~func_index
     ~duration () =
   let ts = match ts with Some x -> x | None -> now t in
   let domain = (Domain.self () :> int) in
-  Mutex.lock t.mu;
-  let r =
-    {
-      seq = t.total;
-      ts;
-      func_name;
-      func_index;
-      bytecode_hash;
-      feedback_hash;
-      verdict;
-      matches;
-      thr;
-      ratio;
-      prefilter_candidates;
-      prefilter_hits;
-      db_generation;
-      db_size;
-      source;
-      domain;
-      duration;
-      client_id;
-      remote_parent;
-    }
-  in
-  t.ring.(t.head) <- Some r;
-  t.head <- (t.head + 1) mod t.capacity;
-  t.total <- t.total + 1;
-  (match verdict with
-  | Allow -> t.n_allow <- t.n_allow + 1
-  | Disable _ -> t.n_disable <- t.n_disable + 1
-  | Forbid -> t.n_forbid <- t.n_forbid + 1);
-  (match source with Cache_hit -> t.n_cache_hits <- t.n_cache_hits + 1 | Fresh -> ());
-  List.iter
-    (fun cm ->
-      Hashtbl.replace t.cve_counts cm.cm_cve
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.cve_counts cm.cm_cve)))
-    matches;
-  let fv = (func_name, verdict_label verdict) in
-  Hashtbl.replace t.func_verdicts fv
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.func_verdicts fv));
-  (match t.chan with
-  | Some oc ->
-    let line = Jsonx.to_string (record_to_json r) in
-    output_string oc line;
-    output_char oc '\n';
-    flush oc;
-    t.sink_bytes <- t.sink_bytes + String.length line + 1;
-    maybe_rotate t
-  | None -> ());
-  Mutex.unlock t.mu;
-  r
+  Ring.push t.ring (fun seq ->
+      let r =
+        {
+          seq;
+          ts;
+          func_name;
+          func_index;
+          bytecode_hash;
+          feedback_hash;
+          verdict;
+          matches;
+          thr;
+          ratio;
+          prefilter_candidates;
+          prefilter_hits;
+          db_generation;
+          db_size;
+          source;
+          domain;
+          duration;
+          client_id;
+          remote_parent;
+        }
+      in
+      count t r;
+      r)
 
 (* ---- queries ---- *)
 
-let records t =
-  Mutex.lock t.mu;
-  let n = min t.total t.capacity in
-  let rs =
-    List.init n (fun i ->
-        let idx = (t.head - n + i + t.capacity) mod t.capacity in
-        match t.ring.(idx) with Some r -> r | None -> assert false)
-  in
-  Mutex.unlock t.mu;
-  rs
-
-let total t = t.total
+let records t = Ring.to_list t.ring
+let total t = Ring.total t.ring
 
 let last t n = List.rev (records t) |> List.filteri (fun i _ -> i < max 0 n)
 
@@ -357,24 +294,22 @@ type totals = {
   tt_cache_hits : int;
 }
 
-let totals t =
-  Mutex.lock t.mu;
-  let v =
-    {
-      tt_records = t.total;
-      tt_allow = t.n_allow;
-      tt_disable = t.n_disable;
-      tt_forbid = t.n_forbid;
-      tt_cache_hits = t.n_cache_hits;
-    }
-  in
-  Mutex.unlock t.mu;
-  v
+(* Called under the ring's lock. *)
+let tally t total =
+  {
+    tt_records = total;
+    tt_allow = t.n_allow;
+    tt_disable = t.n_disable;
+    tt_forbid = t.n_forbid;
+    tt_cache_hits = t.n_cache_hits;
+  }
+
+let totals t = Ring.locked t.ring (fun ~total ~rotations:_ -> tally t total)
 
 (* Records with [seq >= from], oldest first — the audit-delta a pusher
    sends between snapshots (bounded by ring capacity: older deltas are
    already gone, which the cumulative totals cover). *)
-let since t from_seq = List.filter (fun r -> r.seq >= from_seq) (records t)
+let since t from_seq = Ring.since t.ring from_seq
 
 let by_function t name =
   List.filter (fun r -> String.equal r.func_name name) (records t)
@@ -384,14 +319,7 @@ let by_cve t cve =
     (fun r -> List.exists (fun cm -> String.equal cm.cm_cve cve) r.matches)
     (records t)
 
-let close t =
-  Mutex.lock t.mu;
-  (match t.chan with
-  | Some oc ->
-    close_out oc;
-    t.chan <- None
-  | None -> ());
-  Mutex.unlock t.mu
+let close t = Ring.close_sink t.ring
 
 (* ---- rendering ---- *)
 
@@ -426,33 +354,23 @@ let table ?(limit = 20) t =
   (headers, rows)
 
 let render_prometheus t =
-  Mutex.lock t.mu;
-  let total = t.total
-  and allow = t.n_allow
-  and disable = t.n_disable
-  and forbid = t.n_forbid
-  and cache_hits = t.n_cache_hits in
-  let cves =
-    Hashtbl.fold (fun cve n acc -> (cve, n) :: acc) t.cve_counts []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k n acc -> (k, !n) :: acc) tbl []) in
+  let tt, rotations, cves, funcs =
+    Ring.locked t.ring (fun ~total ~rotations ->
+        (tally t total, rotations, sorted t.cve_counts, sorted t.func_verdicts))
   in
-  let funcs =
-    Hashtbl.fold (fun fv n acc -> (fv, n) :: acc) t.func_verdicts []
-    |> List.sort compare
-  in
-  Mutex.unlock t.mu;
   let buf = Buffer.create 512 in
   let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   line "# TYPE jitbull_audit_records_total counter\n";
-  line "jitbull_audit_records_total %d\n" total;
+  line "jitbull_audit_records_total %d\n" tt.tt_records;
   line "# TYPE jitbull_audit_verdicts_total counter\n";
-  line "jitbull_audit_verdicts_total{verdict=\"allow\"} %d\n" allow;
-  line "jitbull_audit_verdicts_total{verdict=\"disable\"} %d\n" disable;
-  line "jitbull_audit_verdicts_total{verdict=\"forbid\"} %d\n" forbid;
+  line "jitbull_audit_verdicts_total{verdict=\"allow\"} %d\n" tt.tt_allow;
+  line "jitbull_audit_verdicts_total{verdict=\"disable\"} %d\n" tt.tt_disable;
+  line "jitbull_audit_verdicts_total{verdict=\"forbid\"} %d\n" tt.tt_forbid;
   line "# TYPE jitbull_audit_cache_hits_total counter\n";
-  line "jitbull_audit_cache_hits_total %d\n" cache_hits;
+  line "jitbull_audit_cache_hits_total %d\n" tt.tt_cache_hits;
   line "# TYPE jitbull_audit_sink_rotations_total counter\n";
-  line "jitbull_audit_sink_rotations_total %d\n" t.sink_rotations;
+  line "jitbull_audit_sink_rotations_total %d\n" rotations;
   if cves <> [] then begin
     line "# TYPE jitbull_audit_cve_matches_total counter\n";
     List.iter

@@ -5,12 +5,12 @@
     from the policy cache, against which DB generation, and on which
     domain}.
 
-    Records live in a bounded ring (oldest evicted) guarded by a mutex —
-    helper compile domains append concurrently with the main thread — and
-    can additionally be streamed to a JSON-lines file. Cumulative
-    aggregates (verdict totals, per-CVE match counts, per-function
-    verdict counts) are maintained at append time so the Prometheus
-    series in {!render_prometheus} keep counting after eviction.
+    Records live in a {!Ring} (bounded, mutexed — helper compile domains
+    append concurrently with the main thread — with an optional rotating
+    JSON-lines sink). Cumulative aggregates (verdict totals, per-CVE
+    match counts, per-function verdict counts) are maintained under the
+    ring's lock at append, so the Prometheus series in
+    {!render_prometheus} keep counting after eviction.
 
     Types here mirror, but do not reference, the engine's: [lib/obs]
     sits below [lib/core]/[lib/jit], so the analyzer converts its
@@ -80,10 +80,9 @@ val create : ?capacity:int -> ?clock:(unit -> float) -> unit -> t
 val now : t -> float
 
 (** Mirror every subsequent record to [path] as one JSON object per
-    line (truncates). When [max_bytes] is given, the sink rotates once
-    it exceeds that size: the file moves to [path ^ ".1"] (one level of
-    history, clobbered on the next rotation) and reopens fresh — a
-    long-lived daemon's evidence log stays bounded at ~2×[max_bytes]. *)
+    line (truncates). With [max_bytes] the sink rotates to [path ^ ".1"]
+    by {!Ring.set_file_sink}'s rule, so a long-lived daemon's evidence
+    log stays bounded at ~2×[max_bytes]. *)
 val set_file_sink : t -> ?max_bytes:int -> string -> unit
 
 (** Rotations performed so far (also the

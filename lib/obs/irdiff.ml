@@ -1,6 +1,6 @@
 (* Bounded ring of per-compile IR diffs, keyed by audit sequence number.
-   Same discipline as the audit ring: one mutex serializes helper compile
-   domains and the main thread, cumulative aggregates survive eviction. *)
+   Same discipline as the audit trail: one {!Ring} (whose lock also
+   guards the cumulative aggregates, which survive eviction). *)
 
 module Intern = Jitbull_util.Intern
 
@@ -24,75 +24,34 @@ type compile_diff = {
 }
 
 type t = {
-  cap : int;
-  ring : (int * compile_diff) option array;
-  mutable head : int;
-  mutable total : int;
-  mu : Mutex.t;
+  ring : (int * compile_diff) Ring.t;  (* (audit seq, diff) *)
   contributions : (string * string, int) Hashtbl.t;
       (* (pass, cve) → cumulative sub-chain instances introduced *)
 }
 
 let create ?(capacity = 64) () =
-  let cap = max 1 capacity in
-  {
-    cap;
-    ring = Array.make cap None;
-    head = 0;
-    total = 0;
-    mu = Mutex.create ();
-    contributions = Hashtbl.create 16;
-  }
+  { ring = Ring.create ~capacity; contributions = Hashtbl.create 16 }
 
-let capacity t = t.cap
-
-let total t = t.total
-
-let attach t ~seq diff =
-  Mutex.lock t.mu;
-  t.ring.(t.head) <- Some (seq, diff);
-  t.head <- (t.head + 1) mod t.cap;
-  t.total <- t.total + 1;
-  Mutex.unlock t.mu
-
-let find t seq =
-  Mutex.lock t.mu;
-  let out = ref None in
-  Array.iter
-    (function
-      | Some (s, d) when s = seq -> out := Some d
-      | _ -> ())
-    t.ring;
-  Mutex.unlock t.mu;
-  !out
-
-let seqs t =
-  Mutex.lock t.mu;
-  let out =
-    Array.to_list t.ring
-    |> List.filter_map (function Some (s, _) -> Some s | None -> None)
-    |> List.sort compare
-  in
-  Mutex.unlock t.mu;
-  out
+let capacity t = Ring.capacity t.ring
+let total t = Ring.total t.ring
+let attach t ~seq diff = ignore (Ring.push t.ring (fun _ -> (seq, diff)) : int * compile_diff)
+let find t seq = Option.map snd (Ring.find t.ring (fun (s, _) -> Int.equal s seq))
+let seqs t = List.sort compare (List.map fst (Ring.to_list t.ring))
 
 let record_contribution t ~pass ~cve n =
-  if n > 0 then begin
-    Mutex.lock t.mu;
-    let key = (pass, cve) in
-    Hashtbl.replace t.contributions key
-      (n + Option.value ~default:0 (Hashtbl.find_opt t.contributions key));
-    Mutex.unlock t.mu
-  end
+  if n > 0 then
+    Ring.locked t.ring (fun ~total:_ ~rotations:_ ->
+        let key = (pass, cve) in
+        Hashtbl.replace t.contributions key
+          (n + Option.value ~default:0 (Hashtbl.find_opt t.contributions key)))
 
 let render_prometheus t =
-  Mutex.lock t.mu;
-  let total = t.total in
-  let contribs =
-    Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.contributions []
-    |> List.sort compare
+  let total, contribs =
+    Ring.locked t.ring (fun ~total ~rotations:_ ->
+        ( total,
+          Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.contributions []
+          |> List.sort compare ))
   in
-  Mutex.unlock t.mu;
   let buf = Buffer.create 256 in
   let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   line "# TYPE jitbull_explain_diffs_total counter\n";

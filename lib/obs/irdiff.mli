@@ -8,9 +8,9 @@
     introduced or destroyed (the δ⁺/δ⁻ sides the comparator scored,
     keyed by {!Jitbull_util.Intern} ids exactly like [Db]'s postings) —
     and attaches it under the audit record's [seq]. Diffs live in a
-    mutexed ring of the last K compiles (oldest evicted), so helper
-    compile domains attach concurrently with the main thread and memory
-    stays bounded no matter how long the engine runs.
+    {!Ring} of the last K compiles (oldest evicted), so helper compile
+    domains attach concurrently with the main thread and memory stays
+    bounded no matter how long the engine runs.
 
     The ring also keeps a cumulative [(pass, cve)] contribution count —
     how many sub-chain instances each pass introduced on compiles where

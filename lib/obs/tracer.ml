@@ -14,8 +14,9 @@ type event = {
   fields : (string * Jsonx.t) list;
 }
 
-(* One mutex per tracer serializes ring writes and file-sink output;
-   helper compile domains record spans concurrently with the main thread.
+(* Events and the file sink live in one {!Ring}, whose lock serializes
+   helper compile domains recording spans concurrently with the main
+   thread.
 
    Correlation state is split in two:
    - ids come from a process-wide atomic, so an id handed out by one
@@ -27,12 +28,7 @@ type event = {
      Cross-domain edges are explicit: the enqueuing side allocates an
      anchor id and the helper passes it as [?parent]. *)
 type t = {
-  capacity : int;
-  ring : event option array;
-  mutable head : int;  (* next write slot *)
-  mutable total : int;  (* events ever recorded; doubles as next seq *)
-  mutable chan : out_channel option;
-  mu : Mutex.t;
+  ring : event Ring.t;
   clock : unit -> float;
   start : float;
 }
@@ -58,26 +54,10 @@ let current_span (_ : t) =
 
 let create ?(capacity = 4096) ?(clock : (unit -> float) option) () =
   let clock = match clock with Some c -> c | None -> Clock.now in
-  let capacity = max 1 capacity in
-  {
-    capacity;
-    ring = Array.make capacity None;
-    head = 0;
-    total = 0;
-    chan = None;
-    mu = Mutex.create ();
-    clock;
-    start = clock ();
-  }
+  { ring = Ring.create ~capacity; clock; start = clock () }
 
 let now t = t.clock () -. t.start
 let depth (_ : t) = List.length !(stack ())
-
-let set_file_sink t path =
-  Mutex.lock t.mu;
-  (match t.chan with Some oc -> close_out oc | None -> ());
-  t.chan <- Some (open_out path);
-  Mutex.unlock t.mu
 
 let kind_to_string = function Span -> "span" | Point -> "event"
 
@@ -128,19 +108,9 @@ let record t ?ts ?id ?parent ?depth:d ?(kind = Point) ?(dur = 0.0) ?(fields = []
   let id = match id with Some i -> i | None -> alloc_id t in
   let parent = match parent with Some _ -> parent | None -> current_span t in
   let depth = match d with Some d -> d | None -> depth t in
-  Mutex.lock t.mu;
-  let e = { seq = t.total; ts; id; parent; kind; name; dur; depth; fields } in
-  t.ring.(t.head) <- Some e;
-  t.head <- (t.head + 1) mod t.capacity;
-  t.total <- t.total + 1;
-  let sink = t.chan in
-  (match sink with
-  | Some oc ->
-    output_string oc (Jsonx.to_string (event_to_json e));
-    output_char oc '\n';
-    flush oc
-  | None -> ());
-  Mutex.unlock t.mu;
+  ignore
+    (Ring.push t.ring (fun seq -> { seq; ts; id; parent; kind; name; dur; depth; fields })
+      : event);
   id
 
 let event t ?fields ?id ?parent name = ignore (record t ?fields ?id ?parent name)
@@ -176,26 +146,10 @@ let with_span t ?(fields = []) ?fields_of ?parent ?on_close name f =
     finish [ ("error", Jsonx.String (Printexc.to_string e)) ];
     raise e
 
-let events t =
-  Mutex.lock t.mu;
-  let n = min t.total t.capacity in
-  let evs =
-    List.init n (fun i ->
-        let idx = (t.head - n + i + t.capacity) mod t.capacity in
-        match t.ring.(idx) with
-        | Some e -> e
-        | None -> assert false)
-  in
-  Mutex.unlock t.mu;
-  evs
+let events t = Ring.to_list t.ring
+let total_recorded t = Ring.total t.ring
 
-let total_recorded t = t.total
+let set_file_sink t path =
+  Ring.set_file_sink t.ring (fun e -> Jsonx.to_string (event_to_json e)) path
 
-let close t =
-  Mutex.lock t.mu;
-  (match t.chan with
-  | Some oc ->
-    close_out oc;
-    t.chan <- None
-  | None -> ());
-  Mutex.unlock t.mu
+let close t = Ring.close_sink t.ring

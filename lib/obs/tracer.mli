@@ -1,6 +1,6 @@
 (** The span tracer: nested timed spans and point events, recorded into a
-    bounded in-memory ring buffer (oldest events evicted) and optionally
-    streamed as JSON lines to a file so a run can be replayed offline.
+    {!Ring} (bounded, oldest evicted) whose file sink can stream them as
+    JSON lines so a run can be replayed offline.
 
     Timestamps come from the tracer's clock ({!Clock.now} by default, so
     swapping the process-wide {!Clock} source — a manual clock in tests, a
@@ -17,8 +17,8 @@
     pass it as [?parent] from the helper — this is how a helper-domain
     compile span links back to the main-thread tier-up event.
 
-    Recording is domain-safe: ring writes and the file sink are
-    serialized by an internal mutex. *)
+    Recording is domain-safe: the {!Ring}'s lock serializes ring writes
+    and the file sink. *)
 
 type kind =
   | Span  (** a closed timed region; [dur] is its length in seconds *)

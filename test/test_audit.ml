@@ -20,6 +20,7 @@ module Value = Jitbull_runtime.Value
 module V = Jitbull_vdc.Demonstrators
 module Variants = Jitbull_vdc.Variants
 module Db = Jitbull_core.Db
+module Dna = Jitbull_core.Dna
 module Jitbull = Jitbull_core.Jitbull
 
 let test_jobs =
@@ -235,6 +236,48 @@ let engine_of ?compile_pool db obs =
   Engine.create cfg
     (Jitbull_bytecode.Compiler.compile (Jitbull_frontend.Parser.parse drive_src))
 
+(* A depth-2 inline chain: once f inlines g, g's own call to h is a
+   second-level callee. Both compile modes must inline (or not) the same
+   callees, so f's DNA and verdict agree; the DB is harvested from the
+   CVE-2020-26952 demonstrator and the policy cache is off, so every
+   compile is analyzed. *)
+let chain_src =
+  "function h(x) { return x * 3 + 1; } \
+   function g(x) { return h(x) + 2; } \
+   function f(x) { return g(x) - 1; } \
+   var s = 0; for (var i = 0; i < 200; i++) { s = s + f(i); } print(s);"
+
+let check_depth2_chain_agrees () =
+  let vulns = VC.make VC.all in
+  let d = V.find VC.CVE_2020_26952 in
+  let db = Db.create () in
+  check_bool "26952 harvest found DNA" true
+    (Db.harvest db ~cve:d.V.name ~vulns d.V.source > 0);
+  let run compile_pool =
+    let mu = Mutex.create () and seen = ref [] in
+    let analyze = Jitbull.analyzer db in
+    let analyzer ~ctx ~func_index ~name ~trace =
+      let decision = analyze ~ctx ~func_index ~name ~trace in
+      if String.equal name "f" then
+        Mutex.protect mu (fun () ->
+            seen := (Dna.to_string (Dna.extract trace), decision) :: !seen);
+      decision
+    in
+    let cfg = Jitbull.config ?compile_pool ~policy_cache:false ~vulns db in
+    let out, _ = Engine.run_source { cfg with Engine.analyzer = Some analyzer } chain_src in
+    (out, List.rev !seen)
+  in
+  let pool = CQ.create ~jobs:test_jobs () in
+  let (sync_out, sync_f), (pool_out, pool_f) =
+    Fun.protect ~finally:(fun () -> CQ.shutdown pool) (fun () -> (run None, run (Some pool)))
+  in
+  check_string "same output" sync_out pool_out;
+  match (sync_f, pool_f) with
+  | (sdna, sdec) :: _, (adna, adec) :: _ ->
+    check_string "f's DNA" sdna adna;
+    check_bool "f's verdict" true (sdec = adec)
+  | _ -> Alcotest.fail "f was not analyzed in both modes"
+
 let test_sync_async_audit_agree () =
   let db = self_matching_db () in
   let obs_s = Obs.create () and obs_a = Obs.create () in
@@ -262,7 +305,8 @@ let test_sync_async_audit_agree () =
       match List.assoc_opt "tri" seqs with
       | Some (v :: _) -> check_bool "tri flagged" true (v <> "allow")
       | _ -> Alcotest.fail "tri was not audited")
-    [ sync_seqs; async_seqs ]
+    [ sync_seqs; async_seqs ];
+  check_depth2_chain_agrees ()
 
 (* ---- the trace file reconstructs the async compile chain ---- *)
 

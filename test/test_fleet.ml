@@ -443,6 +443,33 @@ let test_audit_sink_rotation () =
   Sys.remove path;
   (try Sys.remove (path ^ ".1") with Sys_error _ -> ())
 
+(* A rotation whose rename fails (here [path ^ ".1"] is a directory)
+   must keep appending to the live file rather than truncate it, and
+   must not count as a rotation. *)
+let test_audit_sink_rename_failure () =
+  let au = Audit.create () in
+  let path = Filename.temp_file "jitbull_rotfail" ".jsonl" in
+  let old_gen = path ^ ".1" in
+  Sys.mkdir old_gen 0o700;
+  let lines =
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.rmdir old_gen;
+        Sys.remove path)
+      (fun () ->
+        Audit.set_file_sink au ~max_bytes:1000 path;
+        append_audit au ~tag:"keep" ~n:6 ~verdict:Audit.Allow;
+        Audit.close au;
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> ""))
+  in
+  check_int "every record stays in the live file" 6 (List.length lines);
+  List.iter
+    (fun l -> ignore (Audit.record_of_json (Jsonx.parse l) : Audit.record))
+    lines;
+  check_int "a failed rename is not a rotation" 0 (Audit.sink_rotations au)
+
 (* ---- /metrics build info ---- *)
 
 let test_metrics_build_info () =
@@ -478,5 +505,7 @@ let suite =
         test_push_rejects_malformed;
       Alcotest.test_case "profiler attribution" `Slow test_profiler_attribution;
       Alcotest.test_case "audit sink rotation" `Quick test_audit_sink_rotation;
+      Alcotest.test_case "audit sink keeps records when rotation fails" `Quick
+        test_audit_sink_rename_failure;
       Alcotest.test_case "metrics build info" `Quick test_metrics_build_info;
     ] )

@@ -393,6 +393,65 @@ let test_policy_decide_event_on_variant () =
     | Some n -> n > 0
     | None -> false)
 
+(* ---- Ring against a list model ---- *)
+
+module Ring = Jitbull_obs.Ring
+
+type ring_op =
+  | Push of int
+  | Since of int
+  | Find of int
+
+let show_ring_op = function
+  | Push v -> Printf.sprintf "push %d" v
+  | Since s -> Printf.sprintf "since %d" s
+  | Find v -> Printf.sprintf "find %d" v
+
+let gen_ring_case =
+  QCheck.Gen.(
+    pair (int_range 1 8)
+      (list_size (int_range 0 40)
+         (frequency
+            [
+              (4, map (fun v -> Push v) (int_range 0 5));
+              (1, map (fun s -> Since s) (int_range (-2) 42));
+              (1, map (fun v -> Find v) (int_range 0 6));
+            ])))
+
+let print_ring_case (capacity, ops) =
+  Printf.sprintf "capacity %d: %s" capacity (String.concat "; " (List.map show_ring_op ops))
+
+(* The model is every pushed (seq, value), oldest first; the ring must
+   hold exactly its last-[capacity] suffix after every step. *)
+let prop_ring_model =
+  QCheck.Test.make ~count:(qcheck_count 500) ~name:"ring agrees with a list model"
+    (QCheck.make ~print:print_ring_case gen_ring_case)
+    (fun (capacity, ops) ->
+      let r = Ring.create ~capacity in
+      let pushed = ref [] in
+      let retained () =
+        let n = List.length !pushed in
+        List.filteri (fun i _ -> i >= n - capacity) (List.rev !pushed)
+      in
+      let step op =
+        let op_ok =
+          match op with
+          | Push v ->
+            let seq = List.length !pushed in
+            pushed := (seq, v) :: !pushed;
+            Ring.push r (fun s -> (s, v)) = (seq, v)
+          | Since s -> Ring.since r s = List.filter (fun (q, _) -> q >= s) (retained ())
+          | Find v ->
+            Ring.find r (fun (_, x) -> x = v)
+            = List.find_opt (fun (_, x) -> x = v) (List.rev (retained ()))
+        in
+        let held = Ring.to_list r and total = List.length !pushed in
+        op_ok && held = retained ()
+        && Ring.total r = total
+        && List.map fst held = List.init (List.length held) (fun i -> total - List.length held + i)
+      in
+      List.for_all step ops)
+
 let suite =
   ( "obs",
     [
@@ -405,6 +464,7 @@ let suite =
       Alcotest.test_case "span ids and parent resolution" `Quick test_span_ids_and_parents;
       Alcotest.test_case "ring wraparound under concurrent domains" `Quick
         test_ring_wraparound_concurrent;
+      qtest prop_ring_model;
       Alcotest.test_case "prometheus label-value escaping" `Quick test_label_escaping;
       Alcotest.test_case "queue latency bounds" `Quick test_queue_latency_bounds;
       Alcotest.test_case "JSON-lines round trip" `Quick test_jsonl_round_trip;
