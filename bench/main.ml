@@ -729,6 +729,22 @@ let ablation () =
 
 (* ---- Telemetry: the observability layer measuring itself ---- *)
 
+(* [n] operations per timed run: one untimed warm-up run, then [reps]
+   runs, each after a full major GC so one run does not pay for the
+   previous run's garbage, as (median, Q1, Q3) operations per second —
+   one run of a ~100 ms loop spreads 2x between runs of the same build.
+   [run] returns the seconds it timed. *)
+let rate_over_reps ~reps ~n run =
+  ignore (run ());
+  let rates =
+    Array.init reps (fun _ ->
+        Gc.full_major ();
+        float_of_int n /. run ())
+  in
+  Array.sort compare rates;
+  let at p = rates.(int_of_float (Float.round (p *. float_of_int (reps - 1)))) in
+  (at 0.5, at 0.25, at 0.75)
+
 (* --audit mode: what does the audit trail itself cost? A synthetic
    append microbench (records/sec through the mutexed ring) and the
    JSONL footprint (bytes/record), plus the verdict mix the workload
@@ -767,7 +783,6 @@ let telemetry_audit obs =
   (* Synthetic append throughput: a fresh ring, records shaped like a
      real disable verdict (one CVE, one matched pass). *)
   let n = 100_000 in
-  let fresh = Audit.create () in
   let append ring i =
     ignore
       (Audit.append ring ~func_name:(Printf.sprintf "f%d" (i land 15))
@@ -794,15 +809,20 @@ let telemetry_audit obs =
          ~thr:2 ~ratio:0.5 ~prefilter_candidates:8 ~prefilter_hits:1
          ~db_generation:4 ~db_size:8 ~source:Audit.Fresh ~duration:1e-5 ())
   in
-  let (), dt =
-    time (fun () ->
-        for i = 0 to n - 1 do
-          append fresh i
-        done)
+  let reps = 21 in
+  let fresh = ref (Audit.create ()) in
+  let ring_rate =
+    rate_over_reps ~reps ~n (fun () ->
+        let ring = Audit.create () in
+        fresh := ring;
+        snd
+          (time (fun () ->
+               for i = 0 to n - 1 do
+                 append ring i
+               done)))
   in
-  let rate = float_of_int n /. dt in
   let bytes =
-    let sample = Audit.last fresh 64 in
+    let sample = Audit.last !fresh 64 in
     let total =
       List.fold_left
         (fun acc r ->
@@ -818,42 +838,42 @@ let telemetry_audit obs =
      stat the file: real bytes/record and append throughput with the
      sink's serialise+write on the hot path. *)
   let sink_n = 10_000 in
-  let sink_path = Filename.temp_file "jitbull_bench_audit" ".jsonl" in
-  let sink_dt, sink_bytes =
-    let sunk = Audit.create () in
-    Audit.set_file_sink sunk sink_path;
-    let (), sdt =
-      time (fun () ->
-          for i = 0 to sink_n - 1 do
-            append sunk i
-          done)
-    in
-    Audit.close sunk;
-    let size = (Unix.stat sink_path).Unix.st_size in
-    Sys.remove sink_path;
-    (sdt, float_of_int size /. float_of_int sink_n)
+  let sink_bytes = ref 0.0 in
+  let sink_rate =
+    rate_over_reps ~reps ~n:sink_n (fun () ->
+        let sink_path = Filename.temp_file "jitbull_bench_audit" ".jsonl" in
+        let sunk = Audit.create () in
+        Audit.set_file_sink sunk sink_path;
+        let (), dt =
+          time (fun () ->
+              for i = 0 to sink_n - 1 do
+                append sunk i
+              done)
+        in
+        Audit.close sunk;
+        let size = (Unix.stat sink_path).Unix.st_size in
+        Sys.remove sink_path;
+        sink_bytes := float_of_int size /. float_of_int sink_n;
+        dt)
   in
-  let sink_rate = float_of_int sink_n /. sink_dt in
-  Printf.printf
-    "append microbench: %d records in %.2f ms — %.0f records/s, %.1f ns/record\n"
-    n (dt *. 1000.0) rate (dt /. float_of_int n *. 1e9);
+  let show (med, q1, q3) = Printf.sprintf "median %.0f records/s (IQR %.0f-%.0f)" med q1 q3 in
+  Printf.printf "append microbench: %d records x %d runs after a warm-up — %s, %.1f ns/record\n"
+    n reps (show ring_rate)
+    (let med, _, _ = ring_rate in 1e9 /. med);
   Printf.printf "JSONL footprint (ring estimate): %.0f bytes/record\n" bytes;
   Printf.printf
-    "JSONL file sink: %d records in %.2f ms — %.0f records/s, %.0f bytes/record on disk\n"
-    sink_n (sink_dt *. 1000.0) sink_rate sink_bytes;
+    "JSONL file sink: %d records x %d runs after a warm-up — %s, %.0f bytes/record on disk\n"
+    sink_n reps (show sink_rate) !sink_bytes;
+  let rate_json name (med, q1, q3) =
+    [ (name, Jsonx.Float med); (name ^ "_q1", Jsonx.Float q1); (name ^ "_q3", Jsonx.Float q3) ]
+  in
   emit "telemetry.audit"
     (Jsonx.Assoc
-       [
-         ("engine", engine_json);
-         ("bench_records", Jsonx.Int n);
-         ("seconds", Jsonx.Float dt);
-         ("records_per_sec", Jsonx.Float rate);
-         ("bytes_per_record", Jsonx.Float bytes);
-         ("sink_records", Jsonx.Int sink_n);
-         ("sink_seconds", Jsonx.Float sink_dt);
-         ("sink_records_per_sec", Jsonx.Float sink_rate);
-         ("sink_bytes_per_record", Jsonx.Float sink_bytes);
-       ])
+       ([ ("engine", engine_json); ("repetitions", Jsonx.Int reps); ("bench_records", Jsonx.Int n) ]
+       @ rate_json "records_per_sec" ring_rate
+       @ [ ("bytes_per_record", Jsonx.Float bytes); ("sink_records", Jsonx.Int sink_n) ]
+       @ rate_json "sink_records_per_sec" sink_rate
+       @ [ ("sink_bytes_per_record", Jsonx.Float !sink_bytes) ]))
 
 let telemetry () =
   section "Telemetry: pipeline pass percentiles and comparator throughput (#4 VDC DB)";
@@ -1732,7 +1752,67 @@ let native_corpus =
        for (var k = 0; k < 8; k = k + 1) { w = work(100); }\n\
        print(w);\n",
       200000.0 );
+    ( "mod_mix",
+      "function work(n) { var h = 7; for (var i = 1; i < n; i = i + 1) { \
+       h = (h * 31 + i) % 1000003; h = h - (i % 7) * (h % 3); } return h; }\n\
+       var w = 0;\n\
+       for (var k = 0; k < 8; k = k + 1) { w = work(50); }\n\
+       print(w);\n",
+      200000.0 );
   ]
+
+(* Hostop exits per kind over one run of every Octane analogue on the
+   #1-#4-bug engine with an empty DNA DB (perfbench's octane-vdc0
+   configuration): which operations still leave machine code, and how
+   often per native call. *)
+let octane_exit_kinds () =
+  let cfg = Jitbull.config ~vulns:(VC.make (first_n 4 cve_order)) (Db.create ()) in
+  let kinds = Hashtbl.create 32 in
+  let returns = ref 0 and hostops = ref 0 in
+  List.iter
+    (fun (w : W.t) ->
+      let _, e = Engine.run_source cfg w.W.source in
+      let funcs = (Engine.vm e).Jitbull_bytecode.Vm.program.Jitbull_bytecode.Op.funcs in
+      Array.iteri
+        (fun i _ ->
+          match Engine.native_code_of e i with
+          | None -> ()
+          | Some code ->
+            let x = Jitbull_native.Native.exits code in
+            returns := !returns + x.Jitbull_native.Native.t_return;
+            hostops := !hostops + x.Jitbull_native.Native.t_hostop;
+            List.iter
+              (fun (k, n) ->
+                Hashtbl.replace kinds k (n + Option.value (Hashtbl.find_opt kinds k) ~default:0))
+              x.Jitbull_native.Native.t_hostop_kinds)
+        funcs)
+    W.everything;
+  let rows =
+    List.sort
+      (fun (_, a) (_, b) -> compare b a)
+      (Hashtbl.fold (fun k n acc -> (k, n) :: acc) kinds [])
+  in
+  Printf.printf
+    "\nhostop exits per kind, one run of the %d Octane analogues (#1-#4 engine, empty DB):\n\n"
+    (List.length W.everything);
+  Table.print ~headers:[ "kind"; "exits"; "share"; "per native call" ]
+    (List.map
+       (fun (k, n) ->
+         [
+           k;
+           string_of_int n;
+           Printf.sprintf "%.1f%%" (100.0 *. float_of_int n /. float_of_int (max 1 !hostops));
+           Printf.sprintf "%.2f" (float_of_int n /. float_of_int (max 1 !returns));
+         ])
+       rows);
+  Printf.printf "\n%d hostop exits for %d native returns (%.2f per call)\n" !hostops !returns
+    (float_of_int !hostops /. float_of_int (max 1 !returns));
+  Jsonx.Assoc
+    [
+      ("hostop_exits", Jsonx.Int !hostops);
+      ("native_returns", Jsonx.Int !returns);
+      ("hostop_by_kind", Jsonx.Assoc (List.map (fun (k, n) -> (k, Jsonx.Int n)) rows));
+    ]
 
 let native_bench () =
   section "Native x86-64 Ion tier vs the LIR executor";
@@ -1822,6 +1902,7 @@ let native_bench () =
       rows;
     Printf.printf "\ngeomean speedup: %.2fx (outputs byte-equal, verdicts identical)\n"
       geomean;
+    let exits = octane_exit_kinds () in
     emit "native"
       (Jsonx.Assoc
          [
@@ -1830,6 +1911,7 @@ let native_bench () =
            ("geomean_speedup", Jsonx.Float geomean);
            ("outputs_byte_equal", Jsonx.Bool true);
            ("verdicts_identical", Jsonx.Bool true);
+           ("octane_exits", exits);
          ])
   end
 

@@ -340,6 +340,9 @@ let release_native t idx =
     Native.release code
   | None -> ()
 
+let exit_metric_names =
+  Array.map (fun n -> "native.exits_total." ^ n) Native.exit_counter_names
+
 (* [install ~tier_native:true] backs the dispatch entry with generated
    x86-64 code when the backend is on; the LIR executor remains the
    automatic fallback (and the baseline tier, which never asks). Emission
@@ -372,18 +375,13 @@ let install ?(tier_native = false) t idx (lir : Lir.func) =
       match obs with
       | None -> fun args -> Native.run code realm cb args
       | Some _ ->
-        (* flush per-call exit-counter deltas (return/hostop/bailout/test)
-           into the metric registry; bailouts propagate through finally *)
+        (* flush per-call exit-counter deltas (return/hostop/bailout/test
+           and hostop per kind) into the metric registry; bailouts
+           propagate through finally *)
+        let flush j n = Obs.add obs exit_metric_names.(j) n in
         fun args ->
-          let b = Native.exits code in
           Fun.protect
-            ~finally:(fun () ->
-              let a = Native.exits code in
-              let d name v0 v1 = if v1 > v0 then Obs.add obs name (v1 - v0) in
-              d "native.exits_total.return" b.Native.t_return a.Native.t_return;
-              d "native.exits_total.hostop" b.Native.t_hostop a.Native.t_hostop;
-              d "native.exits_total.bailout" b.Native.t_bailout a.Native.t_bailout;
-              d "native.exits_total.test" b.Native.t_test a.Native.t_test)
+            ~finally:(fun () -> Native.drain code flush)
             (fun () -> Native.run code realm cb args))
   in
   let entry args =

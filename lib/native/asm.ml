@@ -150,6 +150,23 @@ let xor_rr t a b =
   byte t 0x31;
   modrm_direct t ~reg:b ~rm:a
 
+(* or a, b (64-bit) *)
+let or_rr t a b =
+  rex_w t ~reg:b ~rm:a;
+  byte t 0x09;
+  modrm_direct t ~reg:b ~rm:a
+
+(* cqo: sign-extend rax into rdx:rax *)
+let cqo t =
+  byte t 0x48;
+  byte t 0x99
+
+(* idiv r64: rdx:rax / r -> quotient rax, remainder rdx *)
+let idiv_r t r =
+  rex_w t ~reg:0 ~rm:r;
+  byte t 0xF7;
+  modrm_direct t ~reg:7 ~rm:r
+
 (* 32-bit ALU ops, opcode per operation: and=0x21 or=0x09 xor=0x31 *)
 let alu32 t ~opcode a b =
   rex_opt t ~reg:b ~rm:a;
@@ -167,12 +184,15 @@ let cmp_r32_imm t r imm =
   modrm_direct t ~reg:7 ~rm:r;
   le32 t imm
 
-(* shr r64, imm8 *)
-let shr_r_imm t r imm =
+(* 64-bit shifts by imm8: /4 shl, /5 shr *)
+let shift_r_imm t ~ext r imm =
   rex_w t ~reg:0 ~rm:r;
   byte t 0xC1;
-  modrm_direct t ~reg:5 ~rm:r;
+  modrm_direct t ~reg:ext ~rm:r;
   byte t imm
+
+let shl_r_imm t r imm = shift_r_imm t ~ext:4 r imm
+let shr_r_imm t r imm = shift_r_imm t ~ext:5 r imm
 
 (* 32-bit shifts by %cl: /4 shl, /5 shr, /7 sar *)
 let shift_cl32 t ~ext r =

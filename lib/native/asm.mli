@@ -57,10 +57,17 @@ val ret : t -> unit
 val cmp_rr : t -> int -> int -> unit
 val add_rr : t -> int -> int -> unit
 val xor_rr : t -> int -> int -> unit
+val or_rr : t -> int -> int -> unit
+
+(** [cqo] then [idiv_r r]: signed 128/64 division of rdx:rax by [r]. *)
+val cqo : t -> unit
+
+val idiv_r : t -> int -> unit
 val and_rr32 : t -> int -> int -> unit
 val or_rr32 : t -> int -> int -> unit
 val xor_rr32 : t -> int -> int -> unit
 val cmp_r32_imm : t -> int -> int -> unit
+val shl_r_imm : t -> int -> int -> unit
 val shr_r_imm : t -> int -> int -> unit
 val shl_cl32 : t -> int -> unit
 val shr_cl32 : t -> int -> unit

@@ -2,8 +2,9 @@
    an unboxed NaN-boxed register file.
 
    Design: generated code covers the numeric core — const/move/guards/
-   bounds checks/float arithmetic/compares/branches — and *exits to the
-   host* for everything else.  Every exit returns a packed
+   bounds checks/float arithmetic/int32 bit ops and %/compares/branches,
+   plus an array's elements handle — and *exits to the host* for
+   everything else.  Every exit returns a packed
    [(lir_pc lsl 4) lor reason] in rax; the host performs the operation on
    decoded values (sharing the executor's raw_number/Value_ops semantics
    bit for bit, including the type-confusion behaviour a removed guard
@@ -52,18 +53,47 @@ let reason_hostop = 1
 let reason_bailout = 2
 let reason_test = 3
 
-type counters = {
-  mutable c_return : int;
-  mutable c_hostop : int;
-  mutable c_bailout : int;
-  mutable c_test : int;
-}
+(* Exit counters, one int array per function: one slot per exit reason,
+   then one hostop slot per exit kind — the LIR kinds a hostop exit can
+   come from, [Kbin] split by operator so a [%] exit is told apart from
+   a shift. *)
+let exit_kinds : Lir.kind array =
+  let bins =
+    Mir.[ NSub; NMul; NDiv; NMod; NBit_and; NBit_or; NBit_xor; NShl; NShr; NUshr ]
+  in
+  Array.of_list
+    (List.map (fun op -> Lir.Kbin op) bins
+    @ Lir.
+        [
+          Kbounds_check; Kadd; Kcompare Mir.CLt; Knegate; Kbitnot; Knot; Ktypeof;
+          Ktonumber; Knew_array; Knew_object; Kelements; Kinit_length;
+          Kload_element; Kstore_element; Karray_length; Kset_array_length;
+          Karray_push; Karray_pop; Kget_prop; Kset_prop; Kget_index_gen;
+          Kset_index_gen; Kload_global; Kstore_global; Kdeclare_global; Kcall;
+          Kcall_method;
+        ])
+
+let exit_kind_name = function
+  | Lir.Kbin op -> Mir.opcode_name (Mir.Bin_num op)
+  | k -> Lir.kind_name k
+
+let exit_counter_names =
+  Array.append
+    [| "return"; "hostop"; "bailout"; "test" |]
+    (Array.map (fun k -> "hostop." ^ exit_kind_name k) exit_kinds)
+
+(* Counter slot of a hostop exit from kind [k]. *)
+let slot_of_kind =
+  let tbl = Hashtbl.create 64 in
+  Array.iteri (fun j k -> Hashtbl.replace tbl (exit_kind_name k) (4 + j)) exit_kinds;
+  fun k -> Hashtbl.find tbl (exit_kind_name k)
 
 type exit_totals = {
   t_return : int;
   t_hostop : int;
   t_bailout : int;
   t_test : int;
+  t_hostop_kinds : (string * int) list;
 }
 
 (* A pooled activation: the C-allocated register file plus the OCaml
@@ -80,7 +110,9 @@ type code = {
   offsets : int array;  (* LIR pc -> byte offset (re-entry points) *)
   n_slots : int;  (* n_regs + arity arg-staging slots *)
   const_preload : Value.t array;  (* boxed consts, side slots [0..) *)
-  counters : counters;
+  counts : int array;  (* exit counters, laid out as [exit_counter_names] *)
+  drained : int array;  (* [counts] as of the last [drain] *)
+  exit_slot : int array;  (* LIR pc -> hostop counter slot, -1 if it never exits *)
   prof_slot : int;  (* sampling-profiler page-table slot, -1 if none *)
   mutable pool : activation list;
   mutable active : int;  (* live activations (recursion depth) *)
@@ -91,12 +123,27 @@ let code_size code = code.region.Exec_mem.code_size
 let region code = code.region
 
 let exits code =
+  let c = code.counts in
+  let kinds = ref [] in
+  for j = Array.length c - 1 downto 4 do
+    if c.(j) > 0 then kinds := (exit_kind_name exit_kinds.(j - 4), c.(j)) :: !kinds
+  done;
   {
-    t_return = code.counters.c_return;
-    t_hostop = code.counters.c_hostop;
-    t_bailout = code.counters.c_bailout;
-    t_test = code.counters.c_test;
+    t_return = c.(reason_return);
+    t_hostop = c.(reason_hostop);
+    t_bailout = c.(reason_bailout);
+    t_test = c.(reason_test);
+    t_hostop_kinds = !kinds;
   }
+
+let drain code f =
+  for j = 0 to Array.length code.counts - 1 do
+    let n = code.counts.(j) - code.drained.(j) in
+    if n > 0 then begin
+      code.drained.(j) <- code.counts.(j);
+      f j n
+    end
+  done
 
 (* ---- compilation ---- *)
 
@@ -140,7 +187,9 @@ let compile (f : Lir.func) : code =
       exit_order := ((pc, reason), l) :: !exit_order;
       l
   in
+  let exit_slot = Array.make len (-1) in
   let exit_now pc reason =
+    if reason = reason_hostop then exit_slot.(pc) <- slot_of_kind insts.(pc).Lir.kind;
     Asm.mov_eax_imm asm ((pc lsl 4) lor reason);
     Asm.ret asm
   in
@@ -213,6 +262,15 @@ let compile (f : Lir.func) : code =
     Asm.mov_r8_imm asm Asm.rax 1;
     Asm.bind asm done_l
   in
+  (* dst <- a when a is array-tagged; otherwise jump to [fail]. *)
+  let array_move (i : Lir.inst) fail =
+    Asm.mov_r_slot asm Asm.rax i.Lir.a;
+    Asm.mov_rr asm ~dst:Asm.rcx ~src:Asm.rax;
+    Asm.shr_r_imm asm Asm.rcx Nanbox.tag_shift;
+    Asm.cmp_r32_imm asm Asm.rcx Nanbox.tag_array;
+    Asm.jcc asm Asm.cc_ne fail;
+    store_dst i Asm.rax
+  in
   Array.iteri
     (fun pc (i : Lir.inst) ->
       offsets.(pc) <- Asm.pos asm;
@@ -257,13 +315,11 @@ let compile (f : Lir.func) : code =
         Asm.jcc asm Asm.cc_l bail;
         store_dst i Asm.rax
       | Lir.Kguard_array ->
-        let bail = exit_label pc reason_bailout in
-        Asm.mov_r_slot asm Asm.rax i.Lir.a;
-        Asm.mov_rr asm ~dst:Asm.rcx ~src:Asm.rax;
-        Asm.shr_r_imm asm Asm.rcx Nanbox.tag_shift;
-        Asm.cmp_r32_imm asm Asm.rcx Nanbox.tag_array;
-        Asm.jcc asm Asm.cc_ne bail;
-        store_dst i Asm.rax
+        array_move i (exit_label pc reason_bailout)
+      | Lir.Kelements ->
+        (* the elements handle of an array is the array; anything else
+           (a type-confused register) goes through raw_number on the host *)
+        array_move i (exit_label pc reason_hostop)
       | Lir.Kbounds_check ->
         (* numbers-only fast path; anything else needs raw_number, so the
            host handles it (and formats the bailout message if it fails).
@@ -312,8 +368,31 @@ let compile (f : Lir.func) : code =
           Asm.movq_r_x asm Asm.rax Asm.xmm0;
           store_dst i Asm.rax
         | Mir.NMod ->
-          (* fmod semantics differ from hardware remainders; host op *)
-          exit_now pc reason_hostop
+          (* int32 fast path only, like the bit ops.  idiv's remainder has
+             the dividend's sign, as fmod's does; the operands are
+             sign-extended to 64 bits so INT32_MIN % -1 cannot trap.  A
+             zero (or -0) divisor is NaN: the host's job.  A zero
+             remainder must keep the dividend's sign (-4 % 2 and -0 % 3
+             are -0), so the dividend's sign bit is OR-ed into the result
+             — a no-op for a nonzero remainder, which already has it. *)
+          let host = exit_label pc reason_hostop in
+          load_number i.Lir.a Asm.rax host;
+          Asm.mov_r_slot asm Asm.rdx i.Lir.b;
+          check_number Asm.rdx host;
+          to_int32_exact ~src:Asm.rax ~dst:Asm.r8 host;
+          to_int32_exact ~src:Asm.rdx ~dst:Asm.rcx host;
+          Asm.cmp_r32_imm asm Asm.rcx 0;
+          Asm.jcc asm Asm.cc_e host;
+          Asm.mov_rr asm ~dst:Asm.r11 ~src:Asm.rax;
+          Asm.mov_rr asm ~dst:Asm.rax ~src:Asm.r8;
+          Asm.cqo asm;
+          Asm.idiv_r asm Asm.rcx;
+          Asm.cvtsi2sd asm Asm.xmm0 Asm.rdx;
+          Asm.movq_r_x asm Asm.rax Asm.xmm0;
+          Asm.shr_r_imm asm Asm.r11 63;
+          Asm.shl_r_imm asm Asm.r11 63;
+          Asm.or_rr asm Asm.rax Asm.r11;
+          store_dst i Asm.rax
         | Mir.NBit_and | Mir.NBit_or | Mir.NBit_xor | Mir.NShl | Mir.NShr
         | Mir.NUshr ->
           (* int32 fast path only when both operands are exactly
@@ -398,7 +477,7 @@ let compile (f : Lir.func) : code =
       | Lir.Kgoto -> Asm.jmp asm pc_labels.(i.Lir.imm)
       | Lir.Kreturn -> exit_now pc reason_return
       | Lir.Kbitnot | Lir.Ktypeof | Lir.Ktonumber | Lir.Knew_array
-      | Lir.Knew_object | Lir.Kelements | Lir.Kinit_length
+      | Lir.Knew_object | Lir.Kinit_length
       | Lir.Kload_element | Lir.Kstore_element | Lir.Karray_length
       | Lir.Kset_array_length | Lir.Karray_push | Lir.Karray_pop
       | Lir.Kget_prop | Lir.Kset_prop | Lir.Kget_index_gen
@@ -418,7 +497,9 @@ let compile (f : Lir.func) : code =
     offsets;
     n_slots;
     const_preload = Array.of_list (List.rev !preload);
-    counters = { c_return = 0; c_hostop = 0; c_bailout = 0; c_test = 0 };
+    counts = Array.make (Array.length exit_counter_names) 0;
+    drained = Array.make (Array.length exit_counter_names) 0;
+    exit_slot;
     prof_slot =
       Profile.register_page ~addr:region.Exec_mem.addr
         ~size:region.Exec_mem.code_size
@@ -476,6 +557,50 @@ let host_bailout (realm : Realm.t) act (i : Lir.inst) =
     let len = Executor.raw_number realm (get i.Lir.b) in
     bailout "bounds_check: %g >= %g" idx len
   | k -> bailout "native guard: %s" (Lir.kind_name k)
+
+(* Top 16 bits of a NaN-boxed register: below [Nanbox.tag_singleton] for
+   every number. *)
+let[@inline] tag_of bits = Int64.to_int (Int64.shift_right_logical bits Nanbox.tag_shift)
+let[@inline] payload_of bits = Int64.to_int bits land 0xFFFF_FFFF_FFFF
+
+(* The element ops on an array receiver and a number index, read
+   straight from the NaN-box bits: no [Value.t] is built for the
+   receiver, the index or a length.  Returns [false], having done
+   nothing, for any other operand shape — the generic {!host_op} then
+   decodes and runs raw_number exactly as the executor does. *)
+let element_op heap (regs : Exec_mem.regfile) side (i : Lir.inst) =
+  match i.Lir.kind with
+  | Lir.Kinit_length | Lir.Karray_length ->
+    let recv = Bigarray.Array1.get regs i.Lir.a in
+    tag_of recv = Nanbox.tag_array
+    && begin
+         let len = Heap.length heap (payload_of recv) in
+         if i.Lir.dst >= 0 then
+           Bigarray.Array1.set regs i.Lir.dst (Int64.bits_of_float (float_of_int len));
+         true
+       end
+  | Lir.Kload_element | Lir.Kstore_element ->
+    let recv = Bigarray.Array1.get regs i.Lir.a in
+    let idx = Bigarray.Array1.get regs i.Lir.b in
+    tag_of recv = Nanbox.tag_array
+    && tag_of idx < Nanbox.tag_singleton
+    && begin
+         let h = payload_of recv in
+         let k = int_of_float (Int64.float_of_bits idx) in
+         (match i.Lir.kind with
+         | Lir.Kload_element ->
+           let v = Heap.get_unchecked heap h k in
+           if i.Lir.dst >= 0 then
+             Bigarray.Array1.set regs i.Lir.dst
+               (match v with
+               | Value.Number f when not (Float.is_nan f) -> Int64.bits_of_float f
+               | v -> Nanbox.encode side v)
+         | _ ->
+           Heap.set_unchecked heap h k
+             (Nanbox.decode side (Bigarray.Array1.get regs i.Lir.c)));
+         true
+       end
+  | _ -> false
 
 (* One host-performed LIR instruction, mirroring the executor case for
    case — including the unchecked element accesses and raw_number
@@ -607,6 +732,11 @@ let host_op code act (realm : Realm.t) (cb : Executor.callbacks) pc =
     (* never exit with a hostop reason *)
     assert false
 
+(* A hostop exit: the bit-level element path, else the generic one. *)
+let host_exit code act realm cb pc =
+  if not (element_op realm.Realm.heap act.regs act.side code.func.Lir.code.(pc)) then
+    host_op code act realm cb pc
+
 (* ---- entry ---- *)
 
 let run code (realm : Realm.t) (cb : Executor.callbacks) (args : Value.t list) :
@@ -624,25 +754,28 @@ let run code (realm : Realm.t) (cb : Executor.callbacks) (args : Value.t list) :
           if k < f.Lir.arity then
             Bigarray.Array1.set regs (n_regs + k) (Nanbox.encode act.side v))
         args;
-      let c = code.counters in
+      let c = code.counts in
       let rec loop off =
         let packed = Exec_mem.call code.region off regs in
         let pc = packed lsr 4 in
         let reason = packed land 0xF in
+        c.(reason) <- c.(reason) + 1;
         if reason = reason_return then begin
-          c.c_return <- c.c_return + 1;
           let i = f.Lir.code.(pc) in
           if i.Lir.a >= 0 then
             Nanbox.decode act.side (Bigarray.Array1.get regs i.Lir.a)
           else Value.Undefined
         end
         else if reason = reason_hostop then begin
-          c.c_hostop <- c.c_hostop + 1;
-          Profile.with_tag prof_host (fun () -> host_op code act realm cb pc);
+          let k = code.exit_slot.(pc) in
+          c.(k) <- c.(k) + 1;
+          (* no closure per exit unless the profiler wants the tag *)
+          if Profile.running () then
+            Profile.with_tag prof_host (fun () -> host_exit code act realm cb pc)
+          else host_exit code act realm cb pc;
           loop code.offsets.(pc + 1)
         end
         else if reason = reason_test then begin
-          c.c_test <- c.c_test + 1;
           let i = f.Lir.code.(pc) in
           let truthy =
             Value_ops.to_boolean
@@ -650,9 +783,6 @@ let run code (realm : Realm.t) (cb : Executor.callbacks) (args : Value.t list) :
           in
           loop code.offsets.(if truthy then i.Lir.imm else i.Lir.b)
         end
-        else begin
-          c.c_bailout <- c.c_bailout + 1;
-          host_bailout realm act f.Lir.code.(pc)
-        end
+        else host_bailout realm act f.Lir.code.(pc)
       in
       loop code.offsets.(0))

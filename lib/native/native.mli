@@ -45,8 +45,20 @@ type exit_totals = {
   t_hostop : int;
   t_bailout : int;
   t_test : int;
+  t_hostop_kinds : (string * int) list;
+      (** hostop exits per exit kind (nonzero only): the LIR kind name,
+          or the operator's MIR name ("mod", "ursh", ...) for a numeric
+          binop *)
 }
 
-(** Cumulative exit counts since compile — the engine flushes deltas to
-    observability. *)
+(** Cumulative exit counts since compile. *)
 val exits : code -> exit_totals
+
+(** Names of the exit counters {!drain} reports, by index: "return",
+    "hostop", "bailout", "test", then "hostop.<kind>" per exit kind. *)
+val exit_counter_names : string array
+
+(** [drain code f] calls [f index n] for every exit counter that grew by
+    [n > 0] since the previous [drain] of [code]: the engine flushes these
+    deltas to observability after each call. *)
+val drain : code -> (int -> int -> unit) -> unit

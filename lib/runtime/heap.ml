@@ -1,14 +1,13 @@
 let sentinel_magic = 49374.0 (* 0xC0DE *)
 
-type free_region = {
-  addr : int;
-  size : int;
-}
-
 type t = {
   cells : Value.t array;
   mutable brk : int;                 (* bump pointer *)
-  mutable free : free_region list;   (* reclaimed regions, first-fit *)
+  (* Reclaimed regions, oldest first: entry [i] is [free_size.(i)] cells
+     at [free_addr.(i)], entries [0, n_free) live. *)
+  mutable free_addr : int array;
+  mutable free_size : int array;
+  mutable n_free : int;
   mutable table : int array;         (* handle -> base address *)
   mutable next_handle : int;
   mutable sentinel_addr : int;       (* -1 when not allocated *)
@@ -20,41 +19,58 @@ let create ?(size_limit = 1 lsl 18) () =
   {
     cells = Array.make size_limit Value.Undefined;
     brk = 0;
-    free = [];
+    free_addr = Array.make 16 0;
+    free_size = Array.make 16 0;
+    n_free = 0;
     table = Array.make 64 (-1);
     next_handle = 0;
     sentinel_addr = -1;
   }
 
-(* First-fit allocation from the free list, falling back to bumping. The
-   sentinel occupies the top two cells, which the bump pointer may not
-   reach. *)
+(* First-fit allocation from the free list, newest region first (LIFO),
+   falling back to bumping. A fit's remainder stays in the region's slot,
+   so the search order, and with it every base address the CVE exploits
+   rely on, never changes under a split. The sentinel occupies the top
+   two cells, which the bump pointer may not reach. *)
 let alloc_cells t n =
-  let rec take acc = function
-    | [] -> None
-    | r :: rest when r.size >= n ->
-      let remainder =
-        if r.size > n then [ { addr = r.addr + n; size = r.size - n } ] else []
-      in
-      t.free <- List.rev_append acc (remainder @ rest);
-      Some r.addr
-    | r :: rest -> take (r :: acc) rest
-  in
-  match take [] t.free with
-  | Some addr -> addr
-  | None ->
+  let rec find i = if i < 0 || t.free_size.(i) >= n then i else find (i - 1) in
+  let i = find (t.n_free - 1) in
+  if i >= 0 then begin
+    let addr = t.free_addr.(i) in
+    let rest = t.free_size.(i) - n in
+    if rest > 0 then begin
+      t.free_addr.(i) <- addr + n;
+      t.free_size.(i) <- rest
+    end
+    else begin
+      let tail = t.n_free - i - 1 in
+      Array.blit t.free_addr (i + 1) t.free_addr i tail;
+      Array.blit t.free_size (i + 1) t.free_size i tail;
+      t.n_free <- t.n_free - 1
+    end;
+    addr
+  end
+  else begin
     let limit = if t.sentinel_addr >= 0 then t.sentinel_addr else size t in
     if t.brk + n > limit then raise Errors.Heap_exhausted;
     let base = t.brk in
     t.brk <- t.brk + n;
     base
+  end
 
 let free_cells t addr n =
   if n > 0 then begin
     for i = addr to addr + n - 1 do
       t.cells.(i) <- Value.Undefined
     done;
-    t.free <- { addr; size = n } :: t.free
+    if t.n_free = Array.length t.free_addr then begin
+      let grow a = Array.append a (Array.make (Array.length a) 0) in
+      t.free_addr <- grow t.free_addr;
+      t.free_size <- grow t.free_size
+    end;
+    t.free_addr.(t.n_free) <- addr;
+    t.free_size.(t.n_free) <- n;
+    t.n_free <- t.n_free + 1
   end
 
 let fresh_handle t =

@@ -2,8 +2,9 @@
 
     Array {e storage} is laid out contiguously, SpiderMonkey-style, as
     [| length; capacity; elem0; elem1; ... |] where the header cells hold
-    [Value.Number]s. Allocation is first-fit over a free list, falling
-    back to bumping, so consecutive allocations are adjacent and —
+    [Value.Number]s. Allocation is first-fit over a free list, most
+    recently freed region first, falling back to bumping, so consecutive
+    allocations are adjacent and —
     crucially for the modeled CVEs — an object allocated after an array
     shrink lands in the {e reclaimed} region right behind the shrunk
     array, where a stale bounds check lets JITed code overwrite it.

@@ -64,7 +64,16 @@ let test_encoder_golden () =
   golden "movzx eax, al" "0f b6 c0" Asm.movzx_eax_al;
   golden "shl edx, cl" "d3 e2" (fun a -> Asm.shl_cl32 a Asm.rdx);
   golden "sar edx, cl" "d3 fa" (fun a -> Asm.sar_cl32 a Asm.rdx);
-  golden "movsxd r11, eax" "4c 63 d8" (fun a -> Asm.movsxd a ~dst:Asm.r11 ~src:Asm.rax)
+  golden "movsxd r11, eax" "4c 63 d8" (fun a -> Asm.movsxd a ~dst:Asm.r11 ~src:Asm.rax);
+  (* the int32 [%] fast path and the shared array-tag check *)
+  golden "or rax, r11" "4c 09 d8" (fun a -> Asm.or_rr a Asm.rax Asm.r11);
+  golden "cqo" "48 99" Asm.cqo;
+  golden "idiv rcx" "48 f7 f9" (fun a -> Asm.idiv_r a Asm.rcx);
+  golden "shl r11, 63" "49 c1 e3 3f" (fun a -> Asm.shl_r_imm a Asm.r11 63);
+  golden "shr r11, 63" "49 c1 eb 3f" (fun a -> Asm.shr_r_imm a Asm.r11 63);
+  golden "shr rcx, 48" "48 c1 e9 30" (fun a -> Asm.shr_r_imm a Asm.rcx 48);
+  golden "cmp ecx, 0" "81 f9 00 00 00 00" (fun a -> Asm.cmp_r32_imm a Asm.rcx 0);
+  golden "mov r11, rax" "49 89 c3" (fun a -> Asm.mov_rr a ~dst:Asm.r11 ~src:Asm.rax)
 
 let test_encoder_rel32_patching () =
   (* forward: the 6-byte jcc skips the first ret (rel32 = +1) *)
@@ -270,6 +279,19 @@ let edge_corpus =
     "function f(x) { return x + 1; }\n\
      var r = 0; for (var k = 0; k < 20; k = k + 1) { r = f(k); }\n\
      print(f('s')); print(r);";
+    (* int32 %: a zero remainder keeps the dividend's sign, a zero
+       divisor is NaN, INT32_MIN % -1 does not trap, 5.5 exits *)
+    "function f(a, b) { return a % b; }\n\
+     for (var k = 0; k < 20; k = k + 1) { f(k, 3); }\n\
+     print('' + 1/f(-4, 2) + ' ' + 1/f(-0, 3) + ' ' + f(7, 0) + ' ' + f(7, -0) + ' '\n\
+       + 1/f(-2147483648, -1) + ' ' + f(-7, 3) + ' ' + f(7, -3) + ' ' + f(5.5, 2));";
+    (* element loads/stores and lengths in a hot loop, then a string
+       element that fails the unbox before the first store *)
+    "function f(a) { var t = 0; for (var i = 0; i < a.length; i = i + 1) {\n\
+       t = t + a[i]; a[i] = t % 7; } return t; }\n\
+     var x = [1,2,3,4,5]; var r = 0;\n\
+     for (var k = 0; k < 20; k = k + 1) { r = r + f(x); }\n\
+     x[0] = 's'; print(r); print(f(x));";
     (* heavy ops (strings, calls, arrays) exit to the host mid-loop *)
     "function g(x) { return x * 2; }\n\
      function f(n) { var s = 0; var a = [1,2,3];\n\
@@ -320,6 +342,205 @@ let test_metamorphic_tier_agreement () =
       List.nth edge_corpus 0;
       List.nth edge_corpus 3;
     ]
+
+(* ---- hand-built LIR: native == executor per instruction ---- *)
+
+module Lir = Jitbull_lir.Lir
+module Mir = Jitbull_mir.Mir
+module Executor = Jitbull_lir.Executor
+module Realm = Jitbull_runtime.Realm
+module Heap = Jitbull_runtime.Heap
+
+(* [params] parameters land in r0..; [body] (kind, dst, a, b, c) follows,
+   and the function returns register [ret]. *)
+let lir_func ~params body ~ret =
+  let inst (kind, dst, a, b, c) =
+    let i = Lir.make_inst kind in
+    i.Lir.dst <- dst;
+    i.Lir.a <- a;
+    i.Lir.b <- b;
+    i.Lir.c <- c;
+    i
+  in
+  let param k =
+    let i = Lir.make_inst Lir.Kparam in
+    i.Lir.dst <- k;
+    i.Lir.imm <- k;
+    i
+  in
+  let return = Lir.make_inst Lir.Kreturn in
+  return.Lir.a <- ret;
+  let code =
+    Array.of_list (List.init params param @ List.map inst body @ [ return ])
+  in
+  {
+    Lir.name = "t";
+    arity = params;
+    code;
+    consts = [||];
+    names = [||];
+    call_args = [||];
+    fields = [||];
+    n_regs = 8;
+    spill_count = 0;
+  }
+
+let no_callbacks =
+  {
+    Executor.call_function = (fun _ _ -> Value.Undefined);
+    lookup_global = (fun _ -> Value.Undefined);
+    store_global = (fun _ _ -> ());
+    declare_global = (fun _ -> ());
+  }
+
+(* -0, NaN and object identity made visible: the bits of a number, the
+   display of anything else *)
+let show = function
+  | Value.Number f when Float.is_nan f -> "NaN"
+  | Value.Number f -> Printf.sprintf "%h" f
+  | Value.Array h -> Printf.sprintf "array#%d" h
+  | v -> Value.type_name v ^ ":" ^ Value.to_display v
+
+(* Two heaps built alike: array #0 = [1.5, "s", null], array #1 = [7]. *)
+let two_arrays () =
+  let realm = Realm.create ~size_limit:512 () in
+  let heap = realm.Realm.heap in
+  let a = Heap.alloc_array heap ~length:3 in
+  Heap.set heap a 0 (Value.Number 1.5);
+  Heap.set heap a 1 (Value.String "s");
+  Heap.set heap a 2 Value.Null;
+  let b = Heap.alloc_array heap ~length:1 in
+  Heap.set heap b 0 (Value.Number 7.0);
+  realm
+
+(* One run on each tier over identically built heaps: the result (or
+   the bailout/crash) plus the first cells of array #0, so a store's
+   effect is compared too.  Returns the native outcome and its hostop
+   exits per kind. *)
+let run_both name f args =
+  let outcome run =
+    let realm = two_arrays () in
+    let r =
+      match run realm (args realm) with
+      | v -> show v
+      | exception Lir.Bailout m -> "bailout: " ^ m
+      | exception e -> "exn: " ^ Printexc.to_string e
+    in
+    let cells =
+      List.init 8 (fun k ->
+          match Heap.get_unchecked realm.Realm.heap 0 k with
+          | v -> show v
+          | exception _ -> "-")
+    in
+    r ^ " | " ^ String.concat "," cells
+  in
+  let code = Native.compile f in
+  Fun.protect
+    ~finally:(fun () -> Native.release code)
+    (fun () ->
+      let native = outcome (fun realm args -> Native.run code realm no_callbacks args) in
+      let executor = outcome (fun realm args -> Executor.run f realm no_callbacks args) in
+      check_string (name ^ ": native == executor") executor native;
+      (native, (Native.exits code).Native.t_hostop_kinds))
+
+let hostop_exits kinds kind = Option.value (List.assoc_opt kind kinds) ~default:0
+
+let test_mod_int32_fast_path =
+  when_native (fun () ->
+      let f = lir_func ~params:2 [ (Lir.Kbin Mir.NMod, 2, 0, 1, -1) ] ~ret:2 in
+      let case ~host x y =
+        let name = Printf.sprintf "%h %% %h" x y in
+        let _, kinds = run_both name f (fun _ -> [ Value.Number x; Value.Number y ]) in
+        check_int (name ^ ": host exits") (if host then 1 else 0) (hostop_exits kinds "mod")
+      in
+      let int32_min = -2147483648.0 in
+      (* machine code: sign of a zero remainder from the dividend *)
+      List.iter
+        (fun (x, y) -> case ~host:false x y)
+        [
+          (7.0, 3.0); (-7.0, 3.0); (7.0, -3.0); (-7.0, -3.0);
+          (-4.0, 2.0); (4.0, -2.0); (0.0, 5.0); (-0.0, 5.0); (0.0, -5.0);
+          (-0.0, -5.0); (int32_min, -1.0); (int32_min, 1.0); (int32_min, int32_min);
+          (2147483647.0, int32_min); (2147483647.0, -1.0); (3.0, 2147483647.0);
+        ];
+      (* host: NaN divisors, and operands that are not exact int32s *)
+      List.iter
+        (fun (x, y) -> case ~host:true x y)
+        [
+          (7.0, 0.0); (7.0, -0.0); (0.0, 0.0); (-0.0, -0.0);
+          (2147483648.0, 3.0); (3.0, 2147483648.0); (-2147483649.0, 2.0);
+          (5.5, 2.0); (5.0, 2.5); (Float.nan, 2.0); (2.0, Float.nan);
+          (Float.infinity, 2.0); (Float.neg_infinity, 2.0); (2.0, Float.infinity);
+          (-2.0, Float.neg_infinity);
+        ])
+
+(* Every value class through [elements]: arrays stay in machine code,
+   anything else (a type-confused register) exits for raw_number. *)
+let test_elements_every_value_class =
+  when_native (fun () ->
+      let f = lir_func ~params:1 [ (Lir.Kelements, 1, 0, -1, -1) ] ~ret:1 in
+      let obj = Hashtbl.create 1 in
+      Hashtbl.replace obj "x" (Value.Number 1.0);
+      List.iter
+        (fun (name, v) ->
+          let _, kinds = run_both ("elements " ^ name) f (fun _ -> [ v ]) in
+          check_int ("elements " ^ name ^ ": host exits")
+            (match v with Value.Array _ -> 0 | _ -> 1)
+            (hostop_exits kinds "elements"))
+        [
+          ("array", Value.Array 1); ("number", Value.Number 3.0);
+          ("-0", Value.Number (-0.0)); ("NaN", Value.Number Float.nan);
+          ("undefined", Value.Undefined); ("null", Value.Null);
+          ("true", Value.Bool true); ("false", Value.Bool false);
+          ("string", Value.String "abcd"); ("object", Value.Object obj);
+          ("function", Value.Function 2); ("builtin", Value.Builtin "Math.floor");
+        ])
+
+(* The element ops' bit-level host path against the generic one: an
+   array receiver with a number index takes it; a non-number index or a
+   non-array receiver must give the same value or bailout message. *)
+let test_element_ops_operand_shapes =
+  when_native (fun () ->
+      let load = lir_func ~params:2 [ (Lir.Kload_element, 2, 0, 1, -1) ] ~ret:2 in
+      let store = lir_func ~params:3 [ (Lir.Kstore_element, -1, 0, 1, 2) ] ~ret:2 in
+      let init_len = lir_func ~params:1 [ (Lir.Kinit_length, 1, 0, -1, -1) ] ~ret:1 in
+      let arr_len = lir_func ~params:1 [ (Lir.Karray_length, 1, 0, -1, -1) ] ~ret:1 in
+      let obj = Hashtbl.create 1 in
+      let receivers =
+        [
+          ("array", Value.Array 0); ("number", Value.Number 0.0);
+          ("string", Value.String "s"); ("object", Value.Object obj);
+          ("undefined", Value.Undefined); ("function", Value.Function 0);
+        ]
+      in
+      let indices =
+        [
+          ("1", Value.Number 1.0); ("2.7", Value.Number 2.7); ("-0", Value.Number (-0.0));
+          ("NaN", Value.Number Float.nan); ("true", Value.Bool true);
+          ("null", Value.Null); ("'ab'", Value.String "ab"); ("array", Value.Array 1);
+          ("object", Value.Object obj); ("-9", Value.Number (-9.0));
+          ("1e9", Value.Number 1e9);
+        ]
+      in
+      List.iter
+        (fun (rn, recv) ->
+          List.iter
+            (fun (xn, idx) ->
+              let name = Printf.sprintf "%s[%s]" rn xn in
+              ignore (run_both ("load " ^ name) load (fun _ -> [ recv; idx ]));
+              ignore
+                (run_both ("store " ^ name) store (fun _ ->
+                     [ recv; idx; Value.String "w" ])))
+            indices;
+          ignore (run_both ("init_length " ^ rn) init_len (fun _ -> [ recv ]));
+          ignore (run_both ("array_length " ^ rn) arr_len (fun _ -> [ recv ])))
+        receivers;
+      (* the generic path still formats the executor's bailout *)
+      let out, _ =
+        run_both "load number[1]" load (fun _ -> [ Value.Number 0.0; Value.Number 1.0 ])
+      in
+      check_bool "non-array receiver bails out" true
+        (String.length out > 24 && String.equal (String.sub out 0 24) "bailout: load_element: n"))
 
 (* ---- engine code-page lifecycle ---- *)
 
@@ -464,6 +685,47 @@ let test_obs_counters =
         | Some h -> h.Metrics.hv_count > 0
         | None -> false))
 
+(* Hostop exits per kind: flushed as native.exits_total.hostop.<kind>,
+   summing to the hostop total, and agreeing with [Native.exits]. *)
+let test_obs_exit_kinds =
+  when_native (fun () ->
+      let obs = Obs.create () in
+      let cfg = { native_cfg with Engine.obs = Some obs } in
+      let src =
+        "function f(a) { var t = 0; for (var i = 0; i < a.length; i = i + 1) {\n\
+           t = t + a[i] % 5 + (a[i] % 0.5); } return t; }\n\
+         var x = [1,2,3,4]; var r = 0;\n\
+         for (var k = 0; k < 12; k = k + 1) { r = r + f(x); } print(r);"
+      in
+      let out, eng = Engine.run_source cfg src in
+      check_string "output" (interp_output src) out;
+      let view = Obs.view (Some obs) in
+      let prefix = "native.exits_total.hostop." in
+      let np = String.length prefix in
+      let kinds =
+        List.filter_map
+          (fun (name, n) ->
+            if String.length name > np && String.equal (String.sub name 0 np) prefix then
+              Some (String.sub name np (String.length name - np), n)
+            else None)
+          view.Metrics.v_counters
+      in
+      let total = Option.value (Metrics.find_counter view "native.exits_total.hostop") ~default:0 in
+      check_bool "hostop exits happened" true (total > 0);
+      check_int "per-kind counters sum to the hostop total" total
+        (List.fold_left (fun acc (_, n) -> acc + n) 0 kinds);
+      check_bool "load_element exits counted" true
+        (Option.value (List.assoc_opt "load_element" kinds) ~default:0 > 0);
+      (* the int32 % stays in machine code; % 0.5 exits *)
+      check_bool "fractional % exits counted" true
+        (Option.value (List.assoc_opt "mod" kinds) ~default:0 > 0);
+      match Engine.native_code_of eng (func_idx eng "f") with
+      | None -> Alcotest.fail "no native code installed for f"
+      | Some code ->
+        let x = Native.exits code in
+        check_bool "Native.exits agrees with the flushed metrics" true
+          (List.sort compare x.Native.t_hostop_kinds = List.sort compare kinds))
+
 let suite =
   ( "native",
     [
@@ -477,6 +739,11 @@ let suite =
       qtest qcheck_native_vs_executor;
       Alcotest.test_case "metamorphic tier agreement" `Quick
         test_metamorphic_tier_agreement;
+      Alcotest.test_case "int32 mod fast path" `Quick test_mod_int32_fast_path;
+      Alcotest.test_case "elements on every value class" `Quick
+        test_elements_every_value_class;
+      Alcotest.test_case "element ops operand shapes" `Quick
+        test_element_ops_operand_shapes;
       Alcotest.test_case "engine installs and exits" `Quick test_engine_installs_and_exits;
       Alcotest.test_case "blacklist releases pages" `Quick
         test_engine_blacklist_releases_pages;
@@ -484,4 +751,5 @@ let suite =
       Alcotest.test_case "forbid via harvested CVE" `Quick test_forbid_via_harvested_cve;
       Alcotest.test_case "env forced fallback" `Quick test_env_forced_fallback;
       Alcotest.test_case "obs counters" `Quick test_obs_counters;
+      Alcotest.test_case "obs hostop exits per kind" `Quick test_obs_exit_kinds;
     ] )

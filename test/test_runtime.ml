@@ -254,6 +254,141 @@ let test_user_function_property () =
   | `User_function (3, [ v ]) -> check_bool "args forwarded" true (v = num 1.0)
   | _ -> Alcotest.fail "expected user function dispatch"
 
+(* The list allocator the heap used before its free list became two
+   arrays, kept as the reference: first-fit from the list head (the most
+   recently freed region), the remainder left in the region's place. Only
+   addresses are modelled — each array is (base, length, capacity). *)
+module Old_heap = struct
+  type region = { addr : int; size : int }
+
+  type t = {
+    limit : int;
+    mutable brk : int;
+    mutable free : region list;
+    arrays : (int, int * int * int) Hashtbl.t;
+  }
+
+  let create limit = { limit; brk = 0; free = []; arrays = Hashtbl.create 16 }
+
+  let alloc_cells t n =
+    let rec take acc = function
+      | [] -> None
+      | r :: rest when r.size >= n ->
+        let remainder =
+          if r.size > n then [ { addr = r.addr + n; size = r.size - n } ] else []
+        in
+        t.free <- List.rev_append acc (remainder @ rest);
+        Some r.addr
+      | r :: rest -> take (r :: acc) rest
+    in
+    match take [] t.free with
+    | Some addr -> addr
+    | None ->
+      if t.brk + n > t.limit then raise Errors.Heap_exhausted;
+      let base = t.brk in
+      t.brk <- t.brk + n;
+      base
+
+  let free_cells t addr n = if n > 0 then t.free <- { addr; size = n } :: t.free
+
+  let alloc_array t h ~length =
+    let cap = max length 1 in
+    Hashtbl.replace t.arrays h (alloc_cells t (2 + cap), length, cap)
+
+  let set_length t h n =
+    let n = max n 0 in
+    let base, _, cap = Hashtbl.find t.arrays h in
+    if n <= cap then begin
+      let new_cap = max n 1 in
+      if new_cap < cap then free_cells t (base + 2 + new_cap) (cap - new_cap);
+      Hashtbl.replace t.arrays h (base, n, min cap new_cap)
+    end
+    else begin
+      let new_cap = max n (2 * cap) in
+      let new_base = alloc_cells t (2 + new_cap) in
+      Hashtbl.replace t.arrays h (new_base, n, new_cap);
+      free_cells t base (2 + cap)
+    end
+
+  let push t h =
+    let base, len, cap = Hashtbl.find t.arrays h in
+    if len < cap then Hashtbl.replace t.arrays h (base, len + 1, cap)
+    else set_length t h (len + 1)
+
+  let pop t h =
+    let base, len, cap = Hashtbl.find t.arrays h in
+    if len > 0 then Hashtbl.replace t.arrays h (base, len - 1, cap)
+end
+
+type heap_op = Alloc of int | Set_length of int * int | Push of int | Pop of int
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun n -> Alloc n) (int_bound 24));
+        (3, map2 (fun h n -> Set_length (h, n)) nat (int_bound 60));
+        (3, map (fun h -> Push h) nat);
+        (1, map (fun h -> Pop h) nat);
+      ])
+
+let show_heap_op = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Set_length (h, n) -> Printf.sprintf "set_length #%d %d" h n
+  | Push h -> Printf.sprintf "push #%d" h
+  | Pop h -> Printf.sprintf "pop #%d" h
+
+(* Same base address for every handle and the same bump mark after every
+   step, exhaustion included (a 1024-cell heap runs out now and then). *)
+let qcheck_heap_free_list_matches_list_model =
+  QCheck.Test.make ~count:(qcheck_count 300)
+    ~name:"heap free list agrees with the list allocator"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops))
+       QCheck.Gen.(list_size (int_range 1 150) heap_op_gen))
+    (fun ops ->
+      let limit = 1024 in
+      let heap = Heap.create ~size_limit:limit () in
+      let model = Old_heap.create limit in
+      let handles = ref 0 in
+      let step op =
+        let pick h = h mod !handles in
+        let run real old =
+          let r = match real () with () -> true | exception Errors.Heap_exhausted -> false in
+          let o = match old () with () -> true | exception Errors.Heap_exhausted -> false in
+          r = o
+        in
+        match op with
+        | Alloc length ->
+          run
+            (fun () -> ignore (Heap.alloc_array heap ~length))
+            (fun () -> Old_heap.alloc_array model !handles ~length)
+          && begin
+               if Hashtbl.mem model.Old_heap.arrays !handles then incr handles;
+               true
+             end
+        | _ when !handles = 0 -> true
+        | Set_length (h, n) ->
+          let h = pick h in
+          run (fun () -> Heap.set_length heap h n) (fun () -> Old_heap.set_length model h n)
+        | Push h ->
+          let h = pick h in
+          run (fun () -> Heap.push heap h Value.Null) (fun () -> Old_heap.push model h)
+        | Pop h ->
+          let h = pick h in
+          run (fun () -> ignore (Heap.pop heap h)) (fun () -> Old_heap.pop model h)
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Heap.cells_used heap = model.Old_heap.brk
+          && List.for_all
+               (fun h ->
+                 let base, _, _ = Hashtbl.find model.Old_heap.arrays h in
+                 Heap.base_addr heap h = base)
+               (List.init !handles Fun.id))
+        ops)
+
 let suite =
   ( "runtime",
     [
@@ -275,6 +410,7 @@ let suite =
       Alcotest.test_case "heap sentinel" `Quick test_heap_sentinel;
       Alcotest.test_case "heap exhaustion" `Quick test_heap_exhaustion;
       Alcotest.test_case "heap corrupted header" `Quick test_heap_corrupted_header_is_tolerated;
+      qtest qcheck_heap_free_list_matches_list_model;
       Alcotest.test_case "Math builtins" `Quick test_math_builtins;
       Alcotest.test_case "string methods" `Quick test_string_methods;
       Alcotest.test_case "array methods" `Quick test_array_methods;
